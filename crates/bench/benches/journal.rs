@@ -4,15 +4,10 @@
 //! hot path — the EXPERIMENTS.md claim is that journalling stays
 //! under 1% of campaign wall time.
 
-// These exercise (or ride on) the pre-0.7 free-form `Attack`
-// constructors, kept working behind deprecation warnings; the
-// replacement surface is `bitmod::fleet::SessionSpec`.
-#![allow(deprecated)]
-
 use bench::test_board;
 use bitmod::journal::{decode_frame, encode_frame, AttackJournal};
 use bitmod::resilient::ResilienceConfig;
-use bitmod::{Attack, JournalDoc};
+use bitmod::{Attack, JournalDoc, Telemetry};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fpga_sim::{FaultProfile, UnreliableBoard};
 
@@ -24,11 +19,12 @@ fn mid_campaign_doc(path: &std::path::Path) -> JournalDoc {
     let board = UnreliableBoard::new(test_board(false), FaultProfile::flaky(7));
     let golden = board.extract_bitstream();
     let config = ResilienceConfig::noisy(7 ^ 0x5EED).with_budget(600);
-    let outcome = Attack::with_resilience(&board, golden, bitstream::FRAME_BYTES, config)
-        .expect("prepares")
-        .with_journal(AttackJournal::new(path))
-        .expect("journal attaches")
-        .run();
+    let outcome =
+        Attack::instrumented(&board, golden, bitstream::FRAME_BYTES, config, Telemetry::off())
+            .expect("prepares")
+            .with_journal(AttackJournal::new(path))
+            .expect("journal attaches")
+            .run();
     assert!(outcome.is_err(), "the 600-attempt budget must cut the run");
     AttackJournal::new(path).load().expect("journal loads")
 }

@@ -3,11 +3,10 @@
 //! EXPERIMENTS.md table.
 //!
 //! ```text
-//! noise-sweep [--smoke] [--seed N] [--votes N] [--dir DIR]
-//!             [--journal PATH] [--trace PATH] [--encrypted]
+//! noise-sweep [--smoke] [--seed N] [--votes N] [--dir DIR] [--encrypted]
 //! ```
 //!
-//! Each cell wraps the victim in [`UnreliableBoard`] at a (per-bit
+//! Each cell wraps the victim in an unreliable board at a (per-bit
 //! keystream glitch, transient load failure) rate pair, runs the
 //! attack through the resilience layer, and reports whether the
 //! Test Set 1 key was recovered plus the physical query cost.
@@ -17,70 +16,82 @@
 //! verifier before the noisy board sees them — the recovered keys and
 //! query traces must match the plaintext sweep cell for cell.
 //!
-//! The grid is built by the validating [`SweepGrid`] builder and each
-//! cell runs through the session facade
-//! ([`SessionSpec::run_against`]) — the same engine behind `bitmod
-//! attack` and the fleet workers. The grid runs under the
-//! [`Campaign`] engine: each cell is panic-isolated, and with
-//! `--journal` completed cells are persisted (write-ahead, atomic) so
-//! a killed sweep resumes at the first incomplete cell. `--dir`
-//! resolves both the campaign journal and the NDJSON trace inside one
-//! atomically-created session directory ([`OutputPaths`]); mixing it
-//! with an explicit `--journal`/`--trace` path is a typed error, not
-//! a half-created session.
+//! The grid is built by the validating [`SweepGrid`] builder and every
+//! cell is one session on a [`Fleet`] rooted at `--dir` (a temporary
+//! root, removed on exit, without it). Each cell's label is its submit
+//! token, so rerunning on the same root dedups finished cells and
+//! resumes interrupted ones mid-attack from their journals; each
+//! session directory holds the cell's journal and NDJSON trace. A
+//! panicking cell becomes a failed row, not a dead sweep.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bitmod::campaign::{Campaign, CellOutcome, CellStats, CellSupervisor};
-use bitmod::fleet::{OutputPaths, ResumePolicy, SessionIo, SessionOutcome, SweepCell, SweepGrid};
-use bitmod::telemetry::names;
-use bitmod::Telemetry;
-use fpga_sim::UnreliableBoard;
-use snow3g::vectors::TEST_SET_1_KEY;
+use bitmod::fleet::wire::{number_field, string_field};
+use bitmod::fleet::{Fleet, FleetConfig, SessionState, SweepGrid};
 
-fn run_cell(
-    cell: &SweepCell,
-    supervisor: &CellSupervisor,
-    cell_journal: Option<PathBuf>,
-) -> CellOutcome {
-    let board = UnreliableBoard::new(bench::test_board(false), cell.spec.fault_profile());
-    let golden = board.extract_bitstream();
-    // One cancel token and one recorder span both layers: the
-    // campaign's supervisor and the facade's supervised oracle.
-    let telemetry = supervisor.telemetry();
-    let io = SessionIo {
-        journal: cell_journal.clone(),
-        resume: ResumePolicy::IfJournalExists,
-        telemetry: telemetry.clone(),
-        cancel: supervisor.cancel_token(),
-        expected_key: Some(TEST_SET_1_KEY),
-    };
-    let report = cell.spec.run_harnessed(&board, golden, &io);
-    bitmod::fleet::session::record_board_faults(&telemetry, &board);
-    match report {
-        Ok(report) => match report.outcome {
-            SessionOutcome::Recovered(stats) => CellOutcome::Recovered(stats),
-            // The typed failure is the finding: it separates "voting
-            // overwhelmed" (attack-layer mismatch) from "board never
-            // answered" (retries exhausted) from "budget cut". A
-            // budget cut additionally names the checkpoint journal a
-            // bigger-budget rerun of the same sweep resumes from.
-            SessionOutcome::Exhausted { stats, summary } => {
-                let note = match &cell_journal {
-                    Some(path) => format!("{summary}; resume journal: {}", path.display()),
-                    None => summary,
-                };
-                CellOutcome::Failed { stats, note }
-            }
-            SessionOutcome::Failed { stats, note } => CellOutcome::Failed { stats, note },
-            SessionOutcome::Cancelled => CellOutcome::Cancelled,
-        },
-        Err(e) => CellOutcome::Failed {
-            stats: bitmod::fleet::session::stats_from(&telemetry),
-            note: e.to_string(),
-        },
+/// Board faults injected over one session, from the `board` events of
+/// its NDJSON trace.
+fn faults_injected(trace: &std::path::Path) -> u64 {
+    let text = std::fs::read_to_string(trace).unwrap_or_default();
+    text.lines()
+        .filter(|line| string_field(line, "ev").as_deref() == Some("board"))
+        .filter_map(|line| number_field(line, "injected"))
+        .sum()
+}
+
+fn run(grid: &SweepGrid, root: PathBuf) -> Result<bool, String> {
+    let fleet = Fleet::start(FleetConfig::new(root)).map_err(|e| e.to_string())?;
+    let mut handles = Vec::with_capacity(grid.len());
+    let mut resumed = 0;
+    for cell in grid.cells() {
+        let (handle, deduped) = fleet
+            .submit_with_token(cell.spec.clone(), Some(&cell.label))
+            .map_err(|e| e.to_string())?;
+        resumed += usize::from(deduped);
+        handles.push(handle);
     }
+    if resumed > 0 {
+        println!("resumed: {resumed} cell(s) from {}", fleet.root().display());
+    }
+    println!("glitch/bit | load-fail | key | physical | logical | retries | backoff(vms)");
+    // Cells outside the envelope failing is a *finding*, not a
+    // harness error; only the acceptance-floor cell (1% glitch, 10%
+    // load failure) gates the exit code.
+    let mut floor_ok = true;
+    let (mut physical, mut logical, mut retries) = (0, 0, 0);
+    for (cell, handle) in grid.cells().iter().zip(&handles) {
+        let status = handle.wait();
+        let recovered = status.state == SessionState::Recovered;
+        if (cell.glitch, cell.load_fail) == (0.01, 0.10) {
+            floor_ok = recovered;
+        }
+        let stats = &status.stats;
+        println!(
+            "{:>9.2}% | {:>8.1}% | {} | {:>8} | {:>7} | {:>7} | {:>12}{}{}",
+            cell.glitch * 100.0,
+            cell.load_fail * 100.0,
+            if recovered { "yes" } else { "NO " },
+            stats.physical,
+            stats.logical,
+            stats.retries,
+            stats.backoff_ms,
+            if status.note.is_empty() { "" } else { "  # " },
+            status.note
+        );
+        physical += stats.physical;
+        logical += stats.logical;
+        retries += stats.retries;
+    }
+    // Joining the workers drops every session's recorder, which
+    // flushes its trace.
+    let _ = fleet.shutdown();
+    let injected: u64 = handles.iter().map(|h| faults_injected(&h.layout().trace())).sum();
+    println!(
+        "sweep totals: {physical} physical loads, {logical} logical queries, {retries} retries, \
+         {injected} board faults injected"
+    );
+    Ok(floor_ok)
 }
 
 fn main() -> ExitCode {
@@ -90,8 +101,6 @@ fn main() -> ExitCode {
     let mut seed = 7u64;
     let mut votes = 5u32;
     let mut dir: Option<PathBuf> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -116,56 +125,16 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--journal" => match it.next() {
-                Some(path) => journal = Some(path.into()),
-                None => {
-                    eprintln!("--journal needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match it.next() {
-                Some(path) => trace = Some(path.into()),
-                None => {
-                    eprintln!("--trace needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--smoke" | "--encrypted" => {}
             other => {
                 eprintln!(
                     "unknown option '{other}'; usage: \
-                     noise-sweep [--smoke] [--seed N] [--votes N] [--dir DIR] \
-                     [--journal PATH] [--trace PATH] [--encrypted]"
+                     noise-sweep [--smoke] [--seed N] [--votes N] [--dir DIR] [--encrypted]"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-
-    // One resolution for both output paths: `--dir` derives them from
-    // an atomically-created session directory, and conflicts (or an
-    // uncreatable directory) fail typed and up front — not halfway
-    // through a multi-minute sweep.
-    let paths = match OutputPaths::resolve(dir.as_deref(), journal, trace) {
-        Ok(paths) => paths,
-        Err(e) => {
-            eprintln!("noise-sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let telemetry = match &paths.trace {
-        Some(path) => match Telemetry::to_path(path) {
-            Ok(t) => {
-                println!("tracing to {}", path.display());
-                t
-            }
-            Err(e) => {
-                eprintln!("noise-sweep: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Telemetry::off(),
-    };
 
     let mut builder = SweepGrid::builder().seed(seed).votes(votes).encrypted(encrypted);
     if smoke {
@@ -180,100 +149,32 @@ fn main() -> ExitCode {
         }
     };
 
-    // Per-cell checkpoint journals live next to the campaign journal:
-    // a budget-exhausted cell keeps its attack journal on disk and
-    // names it in the sweep table, so a bigger-budget rerun resumes
-    // the cell mid-phase instead of restarting it.
-    let cell_dir: Option<PathBuf> = paths.journal.as_ref().map(|j| j.with_extension("cells"));
-    if let Some(dir) = &cell_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("noise-sweep: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let mut campaign = Campaign::new().with_telemetry(telemetry.clone());
-    if let Some(path) = &paths.journal {
-        campaign = campaign.with_journal(path);
-    }
-    let report = match campaign.run(&grid.labels(), |i, supervisor| {
-        let journal = cell_dir.as_ref().map(|d| d.join(format!("cell-{i:02}.journal")));
-        run_cell(&grid.cells()[i], supervisor, journal)
-    }) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("noise-sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     println!(
         "noise sweep: seed {seed}, {votes} votes, {} cell(s){}",
         grid.len(),
         if encrypted { ", encrypted container" } else { "" }
     );
-    if report.resumed_count() > 0 {
-        println!("resumed: {} cell(s) replayed from the journal", report.resumed_count());
-    }
-    println!("glitch/bit | load-fail | key | physical | logical | retries | backoff(vms)");
-    // Cells outside the envelope failing is a *finding*, not a
-    // harness error; only the acceptance-floor cell (1% glitch, 10%
-    // load failure) gates the exit code.
-    let mut floor_ok = true;
-    for (cell, record) in grid.cells().iter().zip(&report.cells) {
-        let (recovered, stats, note) = match &record.outcome {
-            CellOutcome::Recovered(stats) => (true, stats.clone(), String::new()),
-            CellOutcome::Failed { stats, note } => (false, stats.clone(), note.clone()),
-            CellOutcome::Panicked { message } => {
-                (false, CellStats::default(), format!("panic: {message}"))
-            }
-            CellOutcome::Cancelled => (false, CellStats::default(), "cancelled".to_string()),
-        };
-        if (cell.glitch, cell.load_fail) == (0.01, 0.10) {
-            floor_ok = recovered;
+    let result = match dir {
+        Some(root) => run(&grid, root),
+        // Without `--dir` the fleet root is scratch: a stale root from
+        // a recycled pid must not dedup this run's cells.
+        None => {
+            let root = std::env::temp_dir().join(format!("noise-sweep-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let result = run(&grid, root.clone());
+            let _ = std::fs::remove_dir_all(&root);
+            result
         }
-        println!(
-            "{:>9.2}% | {:>8.1}% | {} | {:>8} | {:>7} | {:>7} | {:>12}{}{}",
-            cell.glitch * 100.0,
-            cell.load_fail * 100.0,
-            if recovered { "yes" } else { "NO " },
-            stats.physical,
-            stats.logical,
-            stats.retries,
-            stats.backoff_ms,
-            if note.is_empty() { "" } else { "  # " },
-            note
-        );
-    }
-
-    // The campaign rollup: every live cell's metric bag merged with
-    // the associative [`bitmod::Metrics::merge`].
-    let totals = &report.metrics;
-    if !totals.is_empty() {
-        println!(
-            "campaign totals: {} physical loads, {} logical queries, {} retries, \
-             {} board faults injected",
-            totals.counter(names::ORACLE_LOADS),
-            totals.counter(names::ORACLE_QUERIES),
-            totals.counter(names::ORACLE_RETRIES),
-            totals.counter(names::BOARD_INJECTED),
-        );
-    }
-    if telemetry.is_enabled() {
-        // A sink that failed mid-sweep surfaces here, typed, and
-        // fails the run loudly rather than shipping a silently
-        // truncated trace.
-        if let Err(e) = telemetry.finish() {
+    };
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => {
+            eprintln!("noise-sweep: the acceptance-floor cell (1% glitch, 10% load-fail) failed");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
             eprintln!("noise-sweep: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-        print!("{}", telemetry.summary_table());
-    }
-
-    if floor_ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("noise-sweep: the acceptance-floor cell (1% glitch, 10% load-fail) failed");
-        ExitCode::FAILURE
     }
 }

@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionSpec};
 use bitmod::telemetry::names;
 use bitmod::Telemetry;

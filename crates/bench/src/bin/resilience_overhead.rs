@@ -22,16 +22,11 @@
 //! (after a warmup run), so transient machine load — which hits both
 //! arms of an iteration about equally — cancels in the quotient.
 
-// These exercise (or ride on) the pre-0.7 free-form `Attack`
-// constructors, kept working behind deprecation warnings; the
-// replacement surface is `bitmod::fleet::SessionSpec`.
-#![allow(deprecated)]
-
 use std::process::ExitCode;
 use std::time::Instant;
 
 use bitmod::resilient::ResilienceConfig;
-use bitmod::Attack;
+use bitmod::{Attack, Telemetry};
 use snow3g::vectors::TEST_SET_1_KEY;
 
 /// The ceiling written into fresh baselines (the acceptance bound
@@ -45,9 +40,10 @@ fn timed_run(adaptive: bool) -> Result<f64, String> {
     let config =
         if adaptive { ResilienceConfig::off().with_adaptive() } else { ResilienceConfig::off() };
     let start = Instant::now();
-    let report = Attack::with_resilience(&board, golden, bitstream::FRAME_BYTES, config)
-        .and_then(Attack::run)
-        .map_err(|e| e.to_string())?;
+    let report =
+        Attack::instrumented(&board, golden, bitstream::FRAME_BYTES, config, Telemetry::off())
+            .and_then(Attack::run)
+            .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     if report.recovered.key != TEST_SET_1_KEY {
         return Err("attack did not recover the Test Set 1 key".into());

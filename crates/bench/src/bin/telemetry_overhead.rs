@@ -18,11 +18,6 @@
 //! cancels in the quotient instead of inflating either the baseline
 //! or the check.
 
-// These exercise (or ride on) the pre-0.7 free-form `Attack`
-// constructors, kept working behind deprecation warnings; the
-// replacement surface is `bitmod::fleet::SessionSpec`.
-#![allow(deprecated)]
-
 use std::process::ExitCode;
 use std::time::Instant;
 

@@ -549,72 +549,26 @@ impl<'a> Attack<'a> {
     /// Fails if the bitstream has no FDRI payload or the device
     /// rejects the golden bitstream.
     pub fn new(oracle: &'a dyn KeystreamOracle, golden: Bitstream) -> Result<Self, AttackError> {
-        #[allow(deprecated)]
-        Self::with_stride(oracle, golden, FRAME_BYTES)
+        Self::instrumented(oracle, golden, FRAME_BYTES, ResilienceConfig::off(), Telemetry::off())
     }
 
-    /// Like [`Attack::new`] but for a device family with a different
-    /// sub-vector stride `d` (the paper's tool used `d = 101` bytes).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Attack::new`].
-    #[deprecated(
-        since = "0.7.0",
-        note = "configure the stride on the session facade instead: \
-                fleet::SessionSpec::builder().stride(d) … and run via \
-                SessionSpec::run_local / run_against"
-    )]
-    pub fn with_stride(
-        oracle: &'a dyn KeystreamOracle,
-        golden: Bitstream,
-        d: usize,
-    ) -> Result<Self, AttackError> {
-        #[allow(deprecated)]
-        Self::with_resilience(oracle, golden, d, ResilienceConfig::off())
-    }
-
-    /// Like [`Attack::with_stride`] but with a resilience layer
-    /// between the attack and the oracle — for unreliable boards
+    /// The full constructor: the sub-vector stride `d` of the device
+    /// family (the paper's tool used `d = 101` bytes), a resilience
+    /// layer between the attack and the oracle for unreliable boards
     /// (retry transient load failures, majority-vote keystream reads,
-    /// meter the total number of device configurations).
+    /// meter the total number of device configurations), and a
+    /// telemetry recorder installed *before* the initial golden query,
+    /// so the trace meters every oracle interaction the attack
+    /// performs. Telemetry is inert: the query trace is bit-identical
+    /// with recording on or off. Sessions normally come through
+    /// [`SessionSpec::run_against`](crate::fleet::SessionSpec::run_against),
+    /// which derives all three from one validated spec.
     ///
     /// # Errors
     ///
     /// Same as [`Attack::new`], plus [`AttackError::Resilience`] /
     /// [`AttackError::Exhausted`] if even the initial golden read
     /// does not survive the configured policy.
-    #[deprecated(
-        since = "0.7.0",
-        note = "the resilience policy is derived from the validated session \
-                spec now: fleet::SessionSpec::builder().noisy(true).votes(v) \
-                .budget(b) … and run via SessionSpec::run_local / run_against"
-    )]
-    pub fn with_resilience(
-        oracle: &'a dyn KeystreamOracle,
-        golden: Bitstream,
-        d: usize,
-        config: ResilienceConfig,
-    ) -> Result<Self, AttackError> {
-        #[allow(deprecated)]
-        Self::instrumented(oracle, golden, d, config, Telemetry::off())
-    }
-
-    /// Like [`Attack::with_resilience`] but with a telemetry recorder
-    /// installed *before* the initial golden query, so the trace
-    /// meters every oracle interaction the attack performs. Telemetry
-    /// is inert: the query trace is bit-identical with recording on
-    /// or off.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Attack::with_resilience`].
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the session facade — fleet::SessionSpec::run_against wires \
-                the supervised oracle, resilience config, telemetry, journal \
-                and batch width from one validated spec"
-    )]
     pub fn instrumented(
         oracle: &'a dyn KeystreamOracle,
         golden: Bitstream,

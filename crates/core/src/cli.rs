@@ -339,103 +339,6 @@ pub fn default_stride() -> usize {
     FRAME_BYTES
 }
 
-/// The pre-0.7 field bag behind `bitmod attack`.
-///
-/// Superseded by the validating session facade: build a
-/// [`SessionSpec`] (via [`SessionSpec::builder`] or
-/// [`AttackOptions::into_spec`]) and pass it to [`cmd_attack`] — the
-/// spec validates every field up front with typed [`ConfigError`]s
-/// where this struct silently accepted nonsense (even vote counts,
-/// rates above 1, a zero budget).
-#[deprecated(
-    since = "0.7.0",
-    note = "build a fleet::SessionSpec instead (SessionSpec::builder() or \
-            AttackOptions::into_spec()) and pass it to cmd_attack"
-)]
-#[derive(Debug, Clone)]
-pub struct AttackOptions {
-    /// Run against an [`fpga_sim::UnreliableBoard`] instead of the
-    /// ideal board.
-    pub noisy: bool,
-    /// Seed for the fault model and the resilience jitter.
-    pub seed: u64,
-    /// Per-bit keystream glitch probability (noisy mode).
-    pub glitch: f64,
-    /// Transient load-failure probability (noisy mode).
-    pub load_fail: f64,
-    /// Majority-vote reads per oracle query (noisy mode).
-    pub votes: u32,
-    /// Cap on physical oracle attempts (`None` = unlimited).
-    pub budget: Option<u64>,
-    /// Sub-vector stride `d`.
-    pub stride: usize,
-    /// Persist a crash-safe journal here after every completed work
-    /// item.
-    pub journal: Option<std::path::PathBuf>,
-    /// Resume a previous (killed or budget-cut) run from the journal
-    /// instead of starting fresh. Requires `journal`.
-    pub resume: bool,
-    /// Stream telemetry events (NDJSON, one object per line) to this
-    /// path and append the end-of-run summary table to the output.
-    pub trace: Option<std::path::PathBuf>,
-    /// Issue batched oracle queries (up to 64 per call, matching the
-    /// gang simulator's lane count) in the phases with precomputable
-    /// work lists. The recovered key, per-query keystreams and load
-    /// accounting are identical to a serial run.
-    pub batch: bool,
-}
-
-#[allow(deprecated)]
-impl Default for AttackOptions {
-    fn default() -> Self {
-        Self {
-            noisy: false,
-            seed: 1,
-            glitch: 0.01,
-            load_fail: 0.10,
-            votes: 5,
-            budget: None,
-            stride: FRAME_BYTES,
-            journal: None,
-            resume: false,
-            trace: None,
-            batch: false,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl AttackOptions {
-    /// Migrates this field bag into a validated [`SessionSpec`] — the
-    /// bridge for callers moving off the deprecated options struct.
-    /// `batch: true` maps to the full gang width, as `--batch` did.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ConfigError`] the validating builder finds.
-    pub fn into_spec(&self) -> Result<SessionSpec, ConfigError> {
-        let mut b = SessionSpec::builder()
-            .noisy(self.noisy)
-            .seed(self.seed)
-            .glitch(self.glitch)
-            .load_fail(self.load_fail)
-            .votes(self.votes)
-            .stride(self.stride)
-            .batch(if self.batch { fpga_sim::GANG_LANES } else { 1 })
-            .resume(self.resume);
-        if let Some(budget) = self.budget {
-            b = b.budget(budget);
-        }
-        if let Some(path) = &self.journal {
-            b = b.journal(path.clone());
-        }
-        if let Some(path) = &self.trace {
-            b = b.trace(path.clone());
-        }
-        b.build()
-    }
-}
-
 /// `attack`: builds the simulated SNOW 3G victim (ETSI Test Set 1)
 /// and runs the full key-recovery pipeline against it. With `noisy`,
 /// the board is wrapped in the seeded fault model and the attack
@@ -512,7 +415,7 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
         journal: spec.journal_path().map(std::path::Path::to_path_buf),
         resume: if spec.resume { ResumePolicy::Require } else { ResumePolicy::Never },
         telemetry: telemetry.clone(),
-        cancel: crate::campaign::CancelToken::new(),
+        cancel: crate::fleet::CancelToken::new(),
         // The CLI demo trusts the pipeline's own verification pass
         // (as it always has) rather than cross-checking the key.
         expected_key: None,

@@ -31,9 +31,6 @@
 //! every byte position and applies an arbitrary predicate to its two
 //! halves. The free function [`scan_halves`] is the sequential
 //! equivalent for non-[`Sync`] predicates.
-//!
-//! The pre-Scanner entry point [`find_lut`] survives as a thin
-//! deprecated wrapper over a single-candidate [`Scanner`].
 
 use std::collections::HashMap;
 
@@ -147,25 +144,6 @@ pub(crate) fn stored_at(data: &[u8], l: usize, d: usize) -> [u16; 4] {
     ]
 }
 
-/// Single-candidate FINDLUT: returns all candidate locations of `f` in
-/// `data`, in ascending byte order.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a (multi-candidate, parallel) `Scanner` via `Scanner::builder()` \
-            and call `Scanner::scan` instead"
-)]
-#[must_use]
-pub fn find_lut(data: &[u8], f: TruthTable, params: &FindLutParams) -> Vec<LutHit> {
-    let scanner = Scanner::builder()
-        .k(params.k)
-        .stride(params.d)
-        .orders(params.orders)
-        .candidate(f)
-        .build()
-        .expect("legacy FindLutParams were never validated; invalid k or d");
-    scanner.scan(data).into_iter().map(|h| h.hit).collect()
-}
-
 /// Re-attempts a candidate match at a single position under a given
 /// sub-vector order, returning the hit (with its permutation) if the
 /// stored content is a permutation of `f`.
@@ -187,11 +165,22 @@ pub fn rematch_at(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the wrapper is pinned to the Scanner here
 mod tests {
     use super::*;
     use bitstream::FRAME_BYTES;
     use boolfn::expr::var;
+
+    /// Single-candidate FINDLUT through a one-candidate [`Scanner`].
+    fn find_lut(data: &[u8], f: TruthTable, params: &FindLutParams) -> Vec<LutHit> {
+        let scanner = Scanner::builder()
+            .k(params.k)
+            .stride(params.d)
+            .orders(params.orders)
+            .candidate(f)
+            .build()
+            .expect("valid configuration");
+        scanner.scan(data).into_iter().map(|h| h.hit).collect()
+    }
 
     fn plant(data: &mut [u8], l: usize, order: SubVectorOrder, tt: TruthTable) {
         codec::write_lut(

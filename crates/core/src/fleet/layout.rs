@@ -1,14 +1,13 @@
 //! Typed on-disk layout for attack sessions.
 //!
-//! A fleet worker (and the sweep binaries) write several artifacts
-//! per session — the crash-safe attack journal, the live NDJSON
-//! telemetry trace, the submitted spec, the final result — and all of
-//! them must land inside *one* session directory that either exists
-//! completely or not at all. Resolving each path independently (the
-//! pre-0.7 `noise-sweep --journal`/`--trace` behaviour) can
-//! half-create a session: the journal's parent directory exists, the
-//! trace's does not, and a killed worker leaves an undecodable
-//! mixture behind. [`SessionLayout`] owns the whole directory, and
+//! A fleet worker writes several artifacts per session — the
+//! crash-safe attack journal, the live NDJSON telemetry trace, the
+//! submitted spec, the final result — and all of them must land
+//! inside *one* session directory that either exists completely or
+//! not at all. Resolving each path independently can half-create a
+//! session: the journal's parent directory exists, the trace's does
+//! not, and a killed worker leaves an undecodable mixture behind.
+//! [`SessionLayout`] owns the whole directory, and
 //! [`SessionLayout::create`] materialises it atomically (populate a
 //! hidden temp directory, then one `rename`), so a directory that
 //! exists is always complete.
@@ -37,7 +36,7 @@ pub const RESULT_FILE: &str = "result.json";
 /// gets the original session back.
 pub const TOKEN_FILE: &str = "client.token";
 
-/// A failure while resolving or materialising an output layout.
+/// A failure while materialising a session layout.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum LayoutError {
@@ -48,12 +47,6 @@ pub enum LayoutError {
         /// The underlying I/O error.
         source: io::Error,
     },
-    /// `--dir` was combined with an explicit `--journal`/`--trace`
-    /// path; the layout owns both, so the combination is ambiguous.
-    ConflictingPaths {
-        /// The flag that conflicted with `--dir`.
-        flag: &'static str,
-    },
 }
 
 impl fmt::Display for LayoutError {
@@ -61,9 +54,6 @@ impl fmt::Display for LayoutError {
         match self {
             LayoutError::Io { dir, source } => {
                 write!(f, "cannot materialise session directory {}: {source}", dir.display())
-            }
-            LayoutError::ConflictingPaths { flag } => {
-                write!(f, "--dir resolves {flag} itself; drop the explicit {flag} path")
             }
         }
     }
@@ -73,12 +63,11 @@ impl std::error::Error for LayoutError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LayoutError::Io { source, .. } => Some(source),
-            LayoutError::ConflictingPaths { .. } => None,
         }
     }
 }
 
-/// The on-disk home of one attack session (or one sweep): a single
+/// The on-disk home of one attack session: a single
 /// directory holding the journal, trace, spec and result files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionLayout {
@@ -86,13 +75,6 @@ pub struct SessionLayout {
 }
 
 impl SessionLayout {
-    /// The layout rooted at `dir` (not yet created — see
-    /// [`SessionLayout::create`]).
-    #[must_use]
-    pub fn at(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
-    }
-
     /// The layout of session `id` under the fleet root `root`
     /// (`root/id`).
     #[must_use]
@@ -184,51 +166,6 @@ impl SessionLayout {
     }
 }
 
-/// The resolved output paths of a journalled + traced run: both
-/// resolved through one call, so they cannot disagree about where the
-/// session lives. This is the CLI-facing face of [`SessionLayout`] —
-/// `noise-sweep` (and `bitmod attack`) feed their `--dir`,
-/// `--journal` and `--trace` flags through [`OutputPaths::resolve`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OutputPaths {
-    /// Where the crash-safe journal goes (`None` = not journalled).
-    pub journal: Option<PathBuf>,
-    /// Where the NDJSON trace goes (`None` = not traced).
-    pub trace: Option<PathBuf>,
-}
-
-impl OutputPaths {
-    /// Resolves the three output flags into one consistent layout:
-    ///
-    /// * with `dir`, both paths live inside the atomically-created
-    ///   session directory ([`JOURNAL_FILE`], [`TRACE_FILE`]), and
-    ///   combining `dir` with an explicit path is a typed error;
-    /// * without `dir`, the explicit paths pass through unchanged
-    ///   (both may be `None`).
-    ///
-    /// # Errors
-    ///
-    /// [`LayoutError::ConflictingPaths`] for `dir` + explicit path;
-    /// [`LayoutError::Io`] when the session directory cannot be
-    /// created.
-    pub fn resolve(
-        dir: Option<&Path>,
-        journal: Option<PathBuf>,
-        trace: Option<PathBuf>,
-    ) -> Result<Self, LayoutError> {
-        let Some(dir) = dir else { return Ok(Self { journal, trace }) };
-        if journal.is_some() {
-            return Err(LayoutError::ConflictingPaths { flag: "--journal" });
-        }
-        if trace.is_some() {
-            return Err(LayoutError::ConflictingPaths { flag: "--trace" });
-        }
-        let layout = SessionLayout::at(dir);
-        layout.create(&[])?;
-        Ok(Self { journal: Some(layout.journal()), trace: Some(layout.trace()) })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,34 +195,5 @@ mod tests {
         layout.create(&[(SPEC_FILE, "seed=9\n")]).expect("idempotent");
         assert_eq!(fs::read_to_string(layout.spec()).expect("spec"), "seed=7\n");
         let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn resolve_derives_both_paths_from_dir() {
-        let dir = tempdir("resolve");
-        let paths = OutputPaths::resolve(Some(dir.as_path()), None, None).expect("resolves");
-        assert_eq!(paths.journal.as_deref(), Some(dir.join(JOURNAL_FILE).as_path()));
-        assert_eq!(paths.trace.as_deref(), Some(dir.join(TRACE_FILE).as_path()));
-        assert!(dir.is_dir(), "the session directory is created");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resolve_rejects_dir_plus_explicit_path() {
-        let dir = tempdir("conflict");
-        let err = OutputPaths::resolve(Some(dir.as_path()), Some("x.journal".into()), None)
-            .expect_err("conflict");
-        assert!(matches!(err, LayoutError::ConflictingPaths { flag: "--journal" }), "{err}");
-        let err = OutputPaths::resolve(Some(dir.as_path()), None, Some("x.ndjson".into()))
-            .expect_err("conflict");
-        assert!(err.to_string().contains("--trace"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resolve_passes_explicit_paths_through() {
-        let paths = OutputPaths::resolve(None, Some("a.journal".into()), None).expect("passes");
-        assert_eq!(paths.journal.as_deref(), Some(Path::new("a.journal")));
-        assert_eq!(paths.trace, None);
     }
 }

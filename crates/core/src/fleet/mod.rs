@@ -47,12 +47,12 @@ pub mod wire;
 pub use chaos::{ChaosListener, ChaosProfile, ChaosStream, NetStream};
 pub use client::{ClientConfig, ClientError, FleetClient};
 pub use health::{BoardHealth, BoardScore, WorkerHealth};
-pub use layout::{LayoutError, OutputPaths, SessionLayout};
+pub use layout::{LayoutError, SessionLayout};
 pub use scheduler::{Fleet, FleetConfig};
 pub use server::{Endpoint, FleetServer};
 pub use session::{
-    ConfigError, ResumePolicy, SessionError, SessionIo, SessionOutcome, SessionReport, SessionSpec,
-    SessionSpecBuilder,
+    CancelToken, CellStats, ConfigError, ResumePolicy, SessionError, SessionIo, SessionOutcome,
+    SessionReport, SessionSpec, SessionSpecBuilder, SupervisedOracle,
 };
 pub use store::{SessionHandle, SessionState, SessionStatus};
 pub use sweep::{SweepCell, SweepGrid, SweepGridBuilder};

@@ -26,14 +26,13 @@ use std::time::{Duration, Instant};
 
 use bitstream::Bitstream;
 
-use crate::campaign::CellStats;
 use crate::oracle::{KeystreamOracle, OracleError};
 use crate::telemetry::{names, Metrics, Telemetry};
 
 use super::health::{self, BoardScore, WorkerHealth};
 use super::session::{
-    record_board_faults, stats_from, ResumePolicy, SessionError, SessionIo, SessionOutcome,
-    SessionSpec,
+    record_board_faults, stats_from, CellStats, ResumePolicy, SessionError, SessionIo,
+    SessionOutcome, SessionSpec,
 };
 use super::store::{SessionHandle, SessionStore, TeeSink};
 

@@ -1,13 +1,9 @@
 //! The session facade: one validated way to describe and run an
 //! attack.
 //!
-//! Before 0.7 the crate had three parallel ways to start an attack —
-//! the free-form [`Attack`](crate::Attack) constructor chain, the
-//! `AttackOptions` field bag behind the CLI, and hand-rolled closures
-//! inside the sweep binaries — each validating (or not validating)
-//! its inputs independently. A fleet server accepting specs over a
-//! socket cannot afford three construction paths, so this module
-//! funnels everything through one:
+//! A fleet server accepting specs over a socket cannot afford several
+//! construction paths, each validating (or not validating) its inputs
+//! independently, so this module funnels every attack through one:
 //!
 //! * [`SessionSpec::builder`] — a validating builder producing an
 //!   immutable, wire-serialisable [`SessionSpec`] (typed
@@ -25,14 +21,15 @@
 
 use core::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bitstream::{Bitstream, FRAME_BYTES};
 
 use crate::attack::{Attack, AttackCheckpoint, AttackError, AttackReport};
-use crate::campaign::{CancelToken, CellStats, CellSupervisor};
 use crate::journal::AttackJournal;
-use crate::oracle::KeystreamOracle;
+use crate::oracle::{KeystreamOracle, OracleError};
 use crate::resilient::ResilienceConfig;
 use crate::telemetry::{names, Telemetry, TelemetryError};
 
@@ -730,8 +727,7 @@ impl SessionSpec {
         // pass-through.
         let pr = crate::pr::PrOracle::new(oracle, self.partial).with_telemetry(telemetry.clone());
         let deadline = self.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let supervisor = CellSupervisor::new(io.cancel.clone(), deadline, telemetry.clone());
-        let supervised = supervisor.supervise(&pr);
+        let supervised = SupervisedOracle::new(&pr, io.cancel.clone(), deadline, telemetry.clone());
 
         let journal_exists = io.journal.as_ref().is_some_and(|p| p.exists());
         let resuming = match io.resume {
@@ -757,9 +753,6 @@ impl SessionSpec {
             attack.map(|attack| attack.with_telemetry(telemetry.clone()))
         };
         let build_fresh = |golden: Bitstream| {
-            // The one blessed call site of the deprecated free-form
-            // constructor: every other path builds sessions here.
-            #[allow(deprecated)]
             let mut attack = Attack::instrumented(
                 &supervised,
                 golden,
@@ -873,6 +866,141 @@ fn missing_journal(io: &SessionIo) -> ConfigError {
     }
 }
 
+/// A cooperative cancellation flag shared between a session and
+/// whoever supervises it (a fleet handle, a watchdog thread, a test).
+/// Cloning shares the flag.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken(Arc<AtomicBool>);
+
+impl CancelToken {
+    /// A fresh, uncancelled token.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Requests cancellation. Idempotent; never blocks.
+    pub fn cancel(&self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether cancellation has been requested.
+    #[must_use]
+    pub fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// An oracle wrapper that enforces session supervision at the query
+/// chokepoint: every committing query first checks the cancellation
+/// token and the wall-clock deadline. Both surface as the
+/// non-transient [`OracleError::Rejected`], which the resilience
+/// layer aborts on immediately instead of retrying.
+pub struct SupervisedOracle<'a> {
+    inner: &'a dyn KeystreamOracle,
+    cancel: CancelToken,
+    deadline: Option<Instant>,
+    telemetry: Telemetry,
+}
+
+impl<'a> SupervisedOracle<'a> {
+    /// Supervises `inner` with `cancel` and an optional wall-clock
+    /// `deadline`, counting calls and rejections into `telemetry`.
+    #[must_use]
+    pub fn new(
+        inner: &'a dyn KeystreamOracle,
+        cancel: CancelToken,
+        deadline: Option<Instant>,
+        telemetry: Telemetry,
+    ) -> Self {
+        Self { inner, cancel, deadline, telemetry }
+    }
+
+    /// Counts one supervised call and returns the rejection it gets,
+    /// if cancellation was requested or the deadline has passed.
+    fn rejection(&self) -> Option<OracleError> {
+        self.telemetry.incr(names::SUPERVISED_CALLS, 1);
+        let reason = if self.cancel.is_cancelled() {
+            "session cancelled"
+        } else if self.deadline.is_some_and(|deadline| Instant::now() > deadline) {
+            "session wall-clock deadline exceeded"
+        } else {
+            return None;
+        };
+        self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
+        Some(OracleError::Rejected(reason.into()))
+    }
+}
+
+impl KeystreamOracle for SupervisedOracle<'_> {
+    fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
+        match self.rejection() {
+            Some(e) => Err(e),
+            None => self.inner.keystream(bitstream, words),
+        }
+    }
+
+    /// Batches pass through to the inner oracle's wide path (the
+    /// 64-lane gang simulator) after one supervision check — the
+    /// whole batch is one device pass, so cancellation cannot land
+    /// between its lanes any more than it could land mid-keystream.
+    fn keystream_batch(
+        &self,
+        bitstreams: &[Bitstream],
+        words: usize,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        match self.rejection() {
+            Some(e) => vec![Err(e); bitstreams.len()],
+            None => self.inner.keystream_batch(bitstreams, words),
+        }
+    }
+
+    fn state_snapshot(&self) -> Option<Vec<u8>> {
+        self.inner.state_snapshot()
+    }
+
+    fn restore_state(&self, state: &[u8]) -> Result<(), OracleError> {
+        self.inner.restore_state(state)
+    }
+
+    // Fault planning forwards verbatim: plans and clean reads carry
+    // no supervision of their own because the *committing* call paths
+    // already gate every batch, and a cancellation that lands between
+    // planning and commit surfaces on the next supervised query
+    // exactly as it would between two serial queries.
+    fn fault_planning(&self) -> bool {
+        self.inner.fault_planning()
+    }
+
+    fn plan_read(&self, ahead: u64, words: usize) -> Option<fpga_sim::ReadPlan> {
+        self.inner.plan_read(ahead, words)
+    }
+
+    fn commit_reads(&self, plans: &[fpga_sim::ReadPlan]) {
+        self.inner.commit_reads(plans);
+    }
+
+    fn keystream_batch_clean(
+        &self,
+        bitstreams: &[Bitstream],
+        words: usize,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        match self.rejection() {
+            Some(e) => vec![Err(e); bitstreams.len()],
+            None => self.inner.keystream_batch_clean(bitstreams, words),
+        }
+    }
+
+    fn resolve_plan(
+        &self,
+        plan: &fpga_sim::ReadPlan,
+        clean: Result<Vec<u32>, OracleError>,
+        want: usize,
+    ) -> Result<Vec<u32>, OracleError> {
+        self.inner.resolve_plan(plan, clean, want)
+    }
+}
+
 /// Where a session's artifacts go and how it is observed — the
 /// run-site parameters [`SessionSpec::run_against`] needs beyond the
 /// spec itself. A fleet worker points these at the session's
@@ -908,6 +1036,20 @@ pub enum ResumePolicy {
     IfJournalExists,
     /// Resume, and fail if the journal is missing (`--resume`).
     Require,
+}
+
+/// Physical-query accounting for one session, mirroring the columns
+/// of the noise-sweep table.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellStats {
+    /// Physical bitstream loads the board saw.
+    pub physical: u64,
+    /// Logical keystream queries the attack issued.
+    pub logical: u64,
+    /// Transient errors absorbed by the retry layer.
+    pub retries: u64,
+    /// Virtual milliseconds spent backing off.
+    pub backoff_ms: u64,
 }
 
 /// How a session ended.
@@ -1187,5 +1329,36 @@ mod tests {
         let o = SessionOutcome::Failed { stats: CellStats::default(), note: "boom".into() };
         assert_eq!(o.to_string(), "failed: boom");
         assert_eq!(SessionOutcome::Cancelled.stats(), CellStats::default());
+    }
+
+    #[test]
+    fn the_supervised_oracle_enforces_cancellation_and_deadline() {
+        struct Null;
+        impl KeystreamOracle for Null {
+            fn keystream(&self, _: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
+                Ok(vec![0; words])
+            }
+        }
+        let bs = Bitstream::from_bytes(vec![0; 8]);
+
+        let cancel = CancelToken::new();
+        let telemetry = Telemetry::new();
+        let oracle = SupervisedOracle::new(&Null, cancel.clone(), None, telemetry.clone());
+        assert_eq!(oracle.keystream(&bs, 2).expect("clean"), vec![0, 0]);
+        cancel.cancel();
+        let err = oracle.keystream(&bs, 2).expect_err("cancelled");
+        assert!(!err.is_transient(), "cancellation must not be retried");
+        assert!(err.to_string().contains("cancelled"), "{err}");
+        let batch = oracle.keystream_batch(&[bs.clone(), bs.clone()], 2);
+        assert!(batch.iter().all(|r| r.as_ref().is_err_and(|e| !e.is_transient())));
+        let m = telemetry.metrics();
+        assert_eq!(m.counter(names::SUPERVISED_CALLS), 3);
+        assert_eq!(m.counter(names::SUPERVISED_REJECTIONS), 2);
+
+        let expired = Some(Instant::now() - Duration::from_millis(1));
+        let oracle = SupervisedOracle::new(&Null, CancelToken::new(), expired, Telemetry::new());
+        let err = oracle.keystream(&bs, 2).expect_err("expired");
+        assert!(!err.is_transient());
+        assert!(err.to_string().contains("deadline"), "{err}");
     }
 }

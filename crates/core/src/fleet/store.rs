@@ -19,11 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::campaign::{CancelToken, CellStats};
 use crate::journal;
 
 use super::layout::{SessionLayout, SPEC_FILE, TOKEN_FILE};
-use super::session::{SessionError, SessionOutcome, SessionSpec};
+use super::session::{CancelToken, CellStats, SessionError, SessionOutcome, SessionSpec};
 use super::wire;
 
 /// Where a session is in its life cycle.

@@ -1,24 +1,22 @@
 //! The validating sweep-grid builder: a (glitch × load-failure) grid
-//! of noisy [`SessionSpec`]s plus the campaign-journal labels that
-//! identify each cell.
+//! of noisy [`SessionSpec`]s plus the labels that identify each cell.
 //!
-//! `noise-sweep` used to assemble its grid, labels and per-cell
-//! resilience configs by hand; a fleet server accepting batch
-//! submissions cannot — so the grid goes through the same typed
-//! validation as a single session: every cell spec is built by
+//! `noise-sweep` submits every cell to a [`Fleet`](super::Fleet) with
+//! its label as the idempotency token. The grid goes through the same
+//! typed validation as a single session: every cell spec is built by
 //! [`SessionSpecBuilder`](super::session::SessionSpecBuilder), and an
 //! empty axis or an out-of-range rate is a [`ConfigError`], not a
 //! panic three cells into a sweep.
 
 use super::session::{ConfigError, SessionSpec};
 
-/// One cell of a sweep: its campaign-journal label and the validated
-/// session spec that runs it.
+/// One cell of a sweep: its label and the validated session spec that
+/// runs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
-    /// The label identifying the cell in campaign journals and
-    /// tables. It carries everything trace-determining: rates, seed
-    /// and votes.
+    /// The label identifying the cell: the fleet submit token that
+    /// dedups a rerun. It carries everything trace-determining: rates,
+    /// seed, votes and container mode.
     pub label: String,
     /// The per-bit keystream glitch rate of this cell.
     pub glitch: f64,
@@ -61,13 +59,6 @@ impl SweepGrid {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
-
-    /// The labels, in grid order (what [`crate::campaign::Campaign`]
-    /// wants).
-    #[must_use]
-    pub fn labels(&self) -> Vec<String> {
-        self.cells.iter().map(|c| c.label.clone()).collect()
-    }
 }
 
 /// Builds a [`SweepGrid`], validating on [`SweepGridBuilder::build`].
@@ -77,8 +68,6 @@ pub struct SweepGridBuilder {
     load_fails: Vec<f64>,
     seed: u64,
     votes: u32,
-    budget: Option<u64>,
-    batch: usize,
     encrypted: bool,
 }
 
@@ -89,8 +78,6 @@ impl Default for SweepGridBuilder {
             load_fails: vec![0.0, 0.10, 0.25],
             seed: 7,
             votes: 5,
-            budget: None,
-            batch: 1,
             encrypted: false,
         }
     }
@@ -134,20 +121,6 @@ impl SweepGridBuilder {
         self
     }
 
-    /// Caps each cell's physical oracle attempts.
-    #[must_use]
-    pub fn budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Oracle batch width per cell.
-    #[must_use]
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Runs every cell over the Fig. 1 encrypted container: each
     /// candidate load is patch-sealed through the CBC patch oracle
     /// and device-verified before the noisy board sees it.
@@ -175,21 +148,17 @@ impl SweepGridBuilder {
         let mut cells = Vec::with_capacity(self.glitches.len() * self.load_fails.len());
         for &glitch in &self.glitches {
             for &load_fail in &self.load_fails {
-                let mut builder = SessionSpec::builder()
+                let spec = SessionSpec::builder()
                     .noisy(true)
                     .seed(self.seed)
                     .glitch(glitch)
                     .load_fail(load_fail)
                     .votes(self.votes)
-                    .batch(self.batch)
-                    .encrypted(self.encrypted);
-                if let Some(budget) = self.budget {
-                    builder = builder.budget(budget);
-                }
-                let spec = builder.build()?;
+                    .encrypted(self.encrypted)
+                    .build()?;
                 // The label carries everything trace-determining;
                 // `encrypted` changes the journal contents (SCA
-                // accounting), so it must split the campaign cells.
+                // accounting), so it must split the cells.
                 let container = if self.encrypted { " encrypted" } else { "" };
                 cells.push(SweepCell {
                     label: format!(
@@ -232,8 +201,8 @@ mod tests {
         let grid = SweepGrid::builder().smoke().encrypted(true).build().expect("valid");
         assert!(grid.cells().iter().all(|c| c.spec.is_encrypted()));
         assert!(grid.cells()[0].label.ends_with(" encrypted"));
-        // Plaintext labels are untouched — existing campaign journals
-        // keep resuming.
+        // Plaintext labels are untouched — fleet roots from earlier
+        // sweeps keep deduping.
         let plain = SweepGrid::builder().smoke().build().expect("valid");
         assert!(!plain.cells()[0].label.contains("encrypted"));
     }

@@ -29,10 +29,8 @@
 //! streams carry `{"ok":true,"hb":N}` heartbeats so both ends can
 //! tell a quiet session from a dead peer.
 
-use crate::campaign::CellStats;
-
 use super::health::WorkerHealth;
-use super::session::{ConfigError, SessionSpec};
+use super::session::{CellStats, ConfigError, SessionSpec};
 use super::store::{SessionState, SessionStatus};
 
 /// Hard cap on a protocol line: a submit line is well under 200

@@ -311,9 +311,9 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JournalError
 
 /// Frames a payload: magic + version + reserved + length + payload +
 /// CRC-32C over everything before the CRC.
-pub(crate) fn frame(magic: [u8; 8], version: u16, payload: &[u8]) -> Vec<u8> {
+fn frame(version: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 4);
-    out.extend_from_slice(&magic);
+    out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(
@@ -328,19 +328,15 @@ pub(crate) fn frame(magic: [u8; 8], version: u16, payload: &[u8]) -> Vec<u8> {
 /// Verifies a frame and returns its payload. Every corruption mode
 /// (short file, wrong magic, future version, length disagreement,
 /// CRC failure) is a typed error.
-pub(crate) fn unframe(
-    magic: [u8; 8],
-    max_version: u16,
-    bytes: &[u8],
-) -> Result<&[u8], JournalError> {
+fn unframe(bytes: &[u8]) -> Result<&[u8], JournalError> {
     if bytes.len() < HEADER_BYTES + 4 {
         return Err(JournalError::TooShort { got: bytes.len(), need: HEADER_BYTES + 4 });
     }
-    if bytes[..8] != magic {
+    if bytes[..8] != MAGIC {
         return Err(JournalError::BadMagic);
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version > max_version {
+    if version > VERSION {
         return Err(JournalError::UnsupportedVersion(version));
     }
     let payload_len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
@@ -367,7 +363,7 @@ pub(crate) fn unframe(
 /// Encodes a complete frame (header + payload + CRC).
 #[must_use]
 pub fn encode_frame(doc: &JournalDoc) -> Vec<u8> {
-    frame(MAGIC, VERSION, &encode_doc(doc))
+    frame(VERSION, &encode_doc(doc))
 }
 
 /// Decodes and verifies a complete frame.
@@ -376,7 +372,7 @@ pub fn encode_frame(doc: &JournalDoc) -> Vec<u8> {
 ///
 /// See [`JournalError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<JournalDoc, JournalError> {
-    let payload = unframe(MAGIC, VERSION, bytes)?;
+    let payload = unframe(bytes)?;
     // `unframe` verified the header, so the version field is present.
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
     let mut dec = Dec::new(payload);
@@ -394,49 +390,45 @@ pub fn decode_frame(bytes: &[u8]) -> Result<JournalDoc, JournalError> {
 // Primitive encoder / decoder
 // ---------------------------------------------------------------
 
-pub(crate) struct Enc {
+struct Enc {
     out: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self { out: Vec::new() }
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.out
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn usize(&mut self, v: usize) {
+    fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+    fn raw(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
     }
 
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+    fn bytes(&mut self, bytes: &[u8]) {
         self.u32(u32::try_from(bytes.len()).expect("journal field < 4 GiB"));
         self.raw(bytes);
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
 
-    pub(crate) fn opt<T>(&mut self, v: Option<T>, mut f: impl FnMut(&mut Self, T)) {
+    fn opt<T>(&mut self, v: Option<T>, mut f: impl FnMut(&mut Self, T)) {
         match v {
             None => self.u8(0),
             Some(x) => {
@@ -446,7 +438,7 @@ impl Enc {
         }
     }
 
-    pub(crate) fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
+    fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
         self.u32(u32::try_from(items.len()).expect("journal sequence < 2^32 items"));
         for item in items {
             f(self, item);
@@ -454,24 +446,24 @@ impl Enc {
     }
 }
 
-pub(crate) struct Dec<'b> {
+struct Dec<'b> {
     rest: &'b [u8],
 }
 
 impl<'b> Dec<'b> {
-    pub(crate) fn new(rest: &'b [u8]) -> Self {
+    fn new(rest: &'b [u8]) -> Self {
         Self { rest }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rest.is_empty()
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.rest.len()
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8], JournalError> {
+    fn take(&mut self, n: usize) -> Result<&'b [u8], JournalError> {
         if self.rest.len() < n {
             return Err(JournalError::Malformed(format!(
                 "payload exhausted: need {n} more bytes, have {}",
@@ -483,34 +475,34 @@ impl<'b> Dec<'b> {
         Ok(head)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, JournalError> {
+    fn u8(&mut self) -> Result<u8, JournalError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, JournalError> {
+    fn u32(&mut self) -> Result<u32, JournalError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, JournalError> {
+    fn u64(&mut self) -> Result<u64, JournalError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    pub(crate) fn usize(&mut self) -> Result<usize, JournalError> {
+    fn usize(&mut self) -> Result<usize, JournalError> {
         usize::try_from(self.u64()?)
             .map_err(|_| JournalError::Malformed("64-bit count on a 32-bit host".into()))
     }
 
-    pub(crate) fn bytes(&mut self) -> Result<&'b [u8], JournalError> {
+    fn bytes(&mut self) -> Result<&'b [u8], JournalError> {
         let n = self.u32()? as usize;
         self.take(n)
     }
 
-    pub(crate) fn str(&mut self) -> Result<&'b str, JournalError> {
+    fn str(&mut self) -> Result<&'b str, JournalError> {
         std::str::from_utf8(self.bytes()?)
             .map_err(|_| JournalError::Malformed("non-UTF-8 string".into()))
     }
 
-    pub(crate) fn opt<T>(
+    fn opt<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, JournalError>,
     ) -> Result<Option<T>, JournalError> {
@@ -521,7 +513,7 @@ impl<'b> Dec<'b> {
         }
     }
 
-    pub(crate) fn seq<T>(
+    fn seq<T>(
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<T, JournalError>,
     ) -> Result<Vec<T>, JournalError> {
@@ -979,7 +971,7 @@ mod tests {
             .expect("payloads differ at the trace field");
         let mut v2_payload = v3_payload.clone();
         v2_payload.drain(at..at + 4);
-        let v2_frame = frame(MAGIC, 2, &v2_payload);
+        let v2_frame = frame(2, &v2_payload);
         let back = decode_frame(&v2_frame).expect("v2 journal decodes");
         let mut expected = doc.clone();
         expected.sca_traces = 0;

@@ -24,9 +24,6 @@
 //!   CRC-guarded snapshot of an in-flight attack, written atomically
 //!   after every completed work item so a killed run resumes
 //!   mid-phase with a bit-identical query trace;
-//! * [`campaign`] — the supervised multi-run campaign engine: a grid
-//!   of attack cells with panic isolation, cooperative cancellation,
-//!   per-cell deadlines and a write-ahead results journal;
 //! * [`fleet`] — the attack-as-a-service layer: the validating
 //!   [`SessionSpec`](fleet::SessionSpec) facade (the one way to run
 //!   attacks since 0.7), a work-stealing worker pool sharding
@@ -37,7 +34,7 @@
 //!   spans over the attack phases, counters and histograms at the
 //!   oracle chokepoints, an NDJSON event sink
 //!   (`bitmod attack --trace`) and an associative [`Metrics`] rollup
-//!   for campaigns — provably inert: recording never perturbs the
+//!   across sessions — provably inert: recording never perturbs the
 //!   query trace;
 //! * [`edit`] — bitstream patching under a matched input permutation,
 //!   with CRC repair or disable;
@@ -58,7 +55,6 @@
 
 pub mod attack;
 pub mod bifi;
-pub mod campaign;
 pub mod candidates;
 pub mod cli;
 pub mod countermeasure;
@@ -74,17 +70,11 @@ pub mod resilient;
 pub mod telemetry;
 
 pub use attack::{Attack, AttackCheckpoint, AttackError, AttackPhase, AttackReport};
-pub use campaign::{
-    Campaign, CampaignError, CampaignReport, CancelToken, CellOutcome, CellRecord, CellStats,
-    CellSupervisor, SupervisedOracle,
-};
 pub use candidates::{Catalogue, Role, Shape};
 pub use encrypted::{
     demo_sca, demo_seal, EncryptedOracle, DEMO_IV, DEMO_K_AUTH, DEMO_K_ENC, SCA_TRACES_REQUIRED,
 };
 pub use error::Error;
-#[allow(deprecated)]
-pub use findlut::find_lut;
 pub use findlut::{
     find_lut_reference, FindLutParams, LutHit, ScanConfigError, ScanHit, Scanner, ScannerBuilder,
 };

@@ -133,9 +133,10 @@ pub struct ResilienceConfig {
     pub budget: Option<u64>,
     /// Virtual-clock deadline in milliseconds (`None` = unlimited):
     /// once backoff has advanced the clock past it, further queries
-    /// fail with [`ResilienceError::DeadlineExceeded`]. Campaign
-    /// cells use this to bound how long a single run may fight a
-    /// hostile board.
+    /// fail with [`ResilienceError::DeadlineExceeded`] — a bound on
+    /// how long a single run may fight a hostile board (the
+    /// wall-clock analogue is the session's `deadline_ms`, enforced by
+    /// [`crate::fleet::SupervisedOracle`]).
     pub deadline_ms: Option<u64>,
     /// Seed for the backoff jitter.
     pub seed: u64,

@@ -13,7 +13,7 @@
 //!   consumed;
 //! * **counters and histograms** hung at the oracle chokepoints
 //!   ([`crate::resilient::ResilientOracle`] and
-//!   [`crate::campaign::SupervisedOracle`]): bitstream loads,
+//!   [`crate::fleet::SupervisedOracle`]): bitstream loads,
 //!   keystream reads, retries, virtual-clock backoff, journal writes,
 //!   and board faults observed vs. injected;
 //! * an **NDJSON event sink** (`bitmod attack --trace out.ndjson`)
@@ -35,7 +35,7 @@
 //!
 //! [`Metrics::merge`] is associative and commutative (counters add,
 //! histogram buckets add bucket-wise, min/max combine by min/max), so
-//! campaign cells can be rolled up in any split order — the property
+//! sessions and sweep cells can be rolled up in any split order — the property
 //! the proptests at the bottom of this file pin.
 
 use core::fmt;
@@ -69,9 +69,9 @@ pub mod names {
     pub const JOURNAL_BYTES: &str = "journal.bytes";
     /// Histogram: bytes per journal write.
     pub const JOURNAL_BYTES_PER_WRITE: &str = "journal.bytes_per_write";
-    /// Keystream calls seen by the campaign's supervised oracle.
+    /// Keystream calls seen by the session's supervised oracle.
     pub const SUPERVISED_CALLS: &str = "supervised.keystream_calls";
-    /// Queries rejected by cancellation or a cell deadline.
+    /// Queries rejected by cancellation or a session deadline.
     pub const SUPERVISED_REJECTIONS: &str = "supervised.rejections";
     /// Board: load attempts the (simulated) device saw.
     pub const BOARD_LOADS: &str = "board.loads_attempted";
@@ -212,7 +212,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// The bucket layout never changes, so merging two histograms is a
 /// bucket-wise add — the associativity/commutativity and bucket-count
-/// conservation that campaign rollup relies on.
+/// conservation that metric rollup relies on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -305,7 +305,7 @@ impl Histogram {
 /// A mergeable bag of named counters and histograms.
 ///
 /// `merge` forms a commutative monoid with [`Metrics::new`] as the
-/// identity, which is what makes per-cell campaign rollup
+/// identity, which is what makes per-session rollup
 /// order-independent.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -361,7 +361,7 @@ impl Metrics {
 
     /// Folds another metrics bag in: counters add, histograms merge
     /// bucket-wise. Associative and commutative, with the empty bag
-    /// as identity — campaign cells may be rolled up in any order.
+    /// as identity — sessions may be rolled up in any order.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, v) in &other.counters {
             let slot = self.counters.entry(name.clone()).or_insert(0);
@@ -803,24 +803,6 @@ impl Telemetry {
         });
     }
 
-    /// Records one campaign cell's outcome and merged metrics into
-    /// this (campaign-level) recorder.
-    pub fn record_cell(&self, label: &str, outcome: &str, cell: &Metrics) {
-        self.with_state(|s| {
-            s.metrics.merge(cell);
-            let line = Json::event(s.seq, "cell")
-                .str("label", label)
-                .str("outcome", outcome)
-                .num("loads", cell.counter(names::ORACLE_LOADS))
-                .num("queries", cell.counter(names::ORACLE_QUERIES))
-                .num("retries", cell.counter(names::ORACLE_RETRIES))
-                .num("backoff_ms", cell.counter(names::ORACLE_BACKOFF_MS))
-                .finish();
-            s.seq += 1;
-            s.emit(&line);
-        });
-    }
-
     /// Folds an external metrics bag into this recorder.
     pub fn merge_metrics(&self, other: &Metrics) {
         self.with_state(|s| s.metrics.merge(other));
@@ -1174,22 +1156,6 @@ mod tests {
         let mut c = Metrics::new();
         c.merge(&a);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn cell_rollup_merges_into_campaign_metrics() {
-        let campaign = Telemetry::new();
-        let cell1 = Telemetry::new();
-        cell1.record_query(4, 1, 3, 30, "ok");
-        let cell2 = Telemetry::new();
-        cell2.record_query(1, 1, 0, 0, "ok");
-        campaign.record_cell("cell-1", "recovered", &cell1.metrics());
-        campaign.record_cell("cell-2", "recovered", &cell2.metrics());
-        let m = campaign.metrics();
-        assert_eq!(m.counter(names::ORACLE_QUERIES), 2);
-        assert_eq!(m.counter(names::ORACLE_LOADS), 5);
-        let h = m.histogram(names::ORACLE_LOADS_PER_QUERY).expect("merged histogram");
-        assert_eq!(h.count(), 2, "bucket counts conserved across the merge");
     }
 }
 

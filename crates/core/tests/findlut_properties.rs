@@ -1,15 +1,25 @@
 //! Property tests pinning the optimized FINDLUT (the multi-candidate
-//! `Scanner` and its deprecated single-candidate `find_lut` wrapper)
-//! to the literal Algorithm 1 transcription, on random data with
-//! random plants; plus thread-count determinism.
+//! `Scanner`, alone and with a single candidate) to the literal
+//! Algorithm 1 transcription, on random data with random plants; plus
+//! thread-count determinism.
 
-#![allow(deprecated)] // find_lut is intentionally pinned here too
-
-use bitmod::findlut::{find_lut, find_lut_reference, rematch_at, FindLutParams, Scanner};
+use bitmod::findlut::{find_lut_reference, rematch_at, FindLutParams, LutHit, Scanner};
 use bitmod::Catalogue;
 use bitstream::{codec, LutLocation, SubVectorOrder, FRAME_BYTES};
 use boolfn::{DualOutputInit, Permutation, TruthTable};
 use proptest::prelude::*;
+
+/// Single-candidate FINDLUT through a one-candidate `Scanner`.
+fn find_lut(data: &[u8], f: TruthTable, params: &FindLutParams) -> Vec<LutHit> {
+    let scanner = Scanner::builder()
+        .k(params.k)
+        .stride(params.d)
+        .orders(params.orders)
+        .candidate(f)
+        .build()
+        .expect("valid configuration");
+    scanner.scan(data).into_iter().map(|h| h.hit).collect()
+}
 
 fn arb_perm6() -> impl Strategy<Value = Permutation> {
     Just(()).prop_perturb(|(), mut rng| {

@@ -10,7 +10,7 @@
 //! Everything is seeded: the same seed reproduces the same faults,
 //! the same retries and the same physical query count.
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::Telemetry;
 use fpga_sim::{ImplementOptions, Snow3gBoard, UnreliableBoard};

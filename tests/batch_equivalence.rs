@@ -5,7 +5,7 @@
 //! trace. Batching is allowed to change throughput and journal write
 //! cadence, nothing else.
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionSpec};
 use bitmod::telemetry::Telemetry;
 use bitmod::{Attack, AttackReport};

@@ -243,7 +243,7 @@ fn copy_dir(from: &Path, to: &Path) {
 /// Parks one mid-flight noisy session via a graceful drain and
 /// returns (root, session id, journal bytes, serial-baseline stats):
 /// the shared fixture for the torn-write recovery sweeps below.
-fn parked_session(tag: &str) -> (PathBuf, String, Vec<u8>, bitmod::campaign::CellStats) {
+fn parked_session(tag: &str) -> (PathBuf, String, Vec<u8>, bitmod::fleet::CellStats) {
     let spec = SessionSpec::builder().noisy(true).seed(7).build().expect("valid spec");
     let baseline = spec.run_local().expect("serial baseline completes");
     let SessionOutcome::Recovered(serial_stats) = baseline.outcome else {

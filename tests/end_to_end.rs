@@ -136,7 +136,7 @@ fn attack_works_on_the_d101_device_family() {
         journal: None,
         resume: bitmod::fleet::ResumePolicy::Never,
         telemetry: bitmod::Telemetry::off(),
-        cancel: bitmod::campaign::CancelToken::new(),
+        cancel: bitmod::fleet::CancelToken::new(),
         expected_key: Some(key),
     };
     let session = spec.run_harnessed(&board, board.extract_bitstream(), &io).expect("runs");

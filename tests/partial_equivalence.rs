@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::path::PathBuf;
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::oracle::{KeystreamOracle, OracleError};
 use bitmod::telemetry::names;

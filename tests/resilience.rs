@@ -7,7 +7,7 @@
 //! an opaque error.
 
 use bitmod::attack::AttackPhase;
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::Telemetry;
 use fpga_sim::{ImplementOptions, Snow3gBoard, UnreliableBoard};

@@ -5,7 +5,7 @@
 //! the journal replays the exact query trace, it does not merely
 //! approximate it.
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::journal::{AttackJournal, JournalError};
 use bitmod::{Attack, AttackError, Telemetry};

@@ -7,7 +7,7 @@
 //! never perturb the RNG streams, the virtual clock, or the query
 //! order. These tests fail if any future recording site forgets that.
 
-use bitmod::campaign::CancelToken;
+use bitmod::fleet::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::resilient::ResilientStats;
 use bitmod::telemetry::names;

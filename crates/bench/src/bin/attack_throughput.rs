@@ -1,6 +1,7 @@
-//! Attack throughput gate: runs the full clean-board attack serially
-//! and with the 64-lane batched oracle pipeline in one process, and
-//! reports the speedup.
+//! Attack throughput gate: runs the full clean-board attack at width 1
+//! and at width 64 of the one attack path (`Attack::with_batch`) in
+//! one process, and reports the speedup. Width 1 issues one scalar
+//! device load per query; width 64 fills the 64-lane gang simulator.
 //!
 //! ```text
 //! attack-throughput [--iterations N]
@@ -12,7 +13,7 @@
 //! committed baseline; `--check` re-measures and exits non-zero if
 //! the speedup falls below the baseline's `min_speedup` — the CI
 //! regression gate keeping the gang simulator honest about being
-//! fast. The gate statistic is the median *paired* serial/batched
+//! fast. The gate statistic is the median *paired* width-1/width-64
 //! ratio across interleaved iterations (after a warmup run), so
 //! transient machine load — which hits both arms of an iteration
 //! about equally — cancels in the quotient instead of inflating
@@ -49,8 +50,8 @@ fn timed_run(batch: usize) -> Result<(f64, usize), String> {
 }
 
 struct Measurement {
-    serial_ms: f64,
-    batched_ms: f64,
+    narrow_ms: f64,
+    wide_ms: f64,
     loads: usize,
     speedup: f64,
 }
@@ -60,8 +61,8 @@ fn measure(iterations: u32) -> Result<Measurement, String> {
     // allocator pools) that would otherwise bias whichever arm runs
     // first.
     timed_run(1)?;
-    let mut serial_ms = f64::INFINITY;
-    let mut batched_ms = f64::INFINITY;
+    let mut narrow_ms = f64::INFINITY;
+    let mut wide_ms = f64::INFINITY;
     let mut loads = None;
     let mut ratios = Vec::with_capacity(iterations as usize);
     // The gate statistic is the *median paired* ratio: a transient
@@ -71,31 +72,33 @@ fn measure(iterations: u32) -> Result<Measurement, String> {
     // one and report a phantom speedup either way; the median then
     // shrugs off the remaining per-pair outliers in both directions.
     for _ in 0..iterations {
-        let (serial, serial_loads) = timed_run(1)?;
-        let (batched, batched_loads) = timed_run(GANG_LANES)?;
-        if serial_loads != batched_loads {
+        let (narrow, narrow_loads) = timed_run(1)?;
+        let (wide, wide_loads) = timed_run(GANG_LANES)?;
+        if narrow_loads != wide_loads {
             return Err(format!(
-                "load accounting diverged: serial {serial_loads}, batched {batched_loads}"
+                "load accounting diverged: width 1 {narrow_loads}, width {GANG_LANES} {wide_loads}"
             ));
         }
-        loads = Some(serial_loads);
-        serial_ms = serial_ms.min(serial);
-        batched_ms = batched_ms.min(batched);
-        ratios.push(serial / batched);
+        loads = Some(narrow_loads);
+        narrow_ms = narrow_ms.min(narrow);
+        wide_ms = wide_ms.min(wide);
+        ratios.push(narrow / wide);
     }
     ratios.sort_by(|a, b| a.total_cmp(b));
     Ok(Measurement {
-        serial_ms,
-        batched_ms,
+        narrow_ms,
+        wide_ms,
         loads: loads.unwrap_or(0),
         speedup: ratios[ratios.len() / 2],
     })
 }
 
+/// The baseline keeps its historical key names: `serial` is width 1,
+/// `batched` is width 64.
 fn baseline_json(m: &Measurement, iterations: u32) -> String {
     format!(
         "{{\n  \"bench\": \"attack-throughput\",\n  \
-         \"workload\": \"clean-board full attack, serial vs 64-lane batched oracle\",\n  \
+         \"workload\": \"clean-board full attack, width 1 vs width 64\",\n  \
          \"iterations\": {iterations},\n  \
          \"batch_width\": {GANG_LANES},\n  \
          \"min_speedup\": {MIN_SPEEDUP},\n  \
@@ -103,7 +106,7 @@ fn baseline_json(m: &Measurement, iterations: u32) -> String {
          \"recorded_serial_ms\": {:.2},\n  \
          \"recorded_batched_ms\": {:.2},\n  \
          \"recorded_speedup\": {:.2}\n}}\n",
-        m.loads, m.serial_ms, m.batched_ms, m.speedup
+        m.loads, m.narrow_ms, m.wide_ms, m.speedup
     )
 }
 
@@ -143,9 +146,9 @@ fn run() -> Result<ExitCode, String> {
 
     let m = measure(iterations)?;
     println!(
-        "attack throughput: serial {:.2} ms, batched {:.2} ms, speedup {:.2}x \
+        "attack throughput: width 1 {:.2} ms, width {GANG_LANES} {:.2} ms, speedup {:.2}x \
          ({} oracle loads in both arms)",
-        m.serial_ms, m.batched_ms, m.speedup, m.loads
+        m.narrow_ms, m.wide_ms, m.speedup, m.loads
     );
 
     if let Some(path) = write {

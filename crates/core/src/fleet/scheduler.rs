@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bitstream::Bitstream;
+use bitstream::{Bitstream, PartialBitstream};
 
 use crate::oracle::{KeystreamOracle, OracleError};
 use crate::telemetry::{names, Metrics, Telemetry};
@@ -34,7 +34,7 @@ use super::session::{
     record_board_faults, stats_from, CellStats, ResumePolicy, SessionError, SessionIo,
     SessionOutcome, SessionSpec,
 };
-use super::store::{SessionHandle, SessionStore, TeeSink};
+use super::store::{unpoisoned, SessionHandle, SessionStore, TeeSink};
 
 /// How a [`Fleet`] is dimensioned.
 #[derive(Debug, Clone)]
@@ -177,7 +177,7 @@ impl Fleet {
             if build_board().map(|board| probe_board(&board)).unwrap_or(false) {
                 health::clear_quarantine(shared.store.root(), index);
                 shared.telemetry.incr(names::FLEET_BOARDS_REPROBED, 1);
-            } else if let Some(score) = shared.boards.lock().expect("boards lock").get_mut(index) {
+            } else if let Some(score) = unpoisoned(shared.boards.lock()).get_mut(index) {
                 score.dead = true;
             }
         }
@@ -222,7 +222,7 @@ impl Fleet {
         if deduped {
             return Ok((handle, true));
         }
-        let mut sched = self.shared.sched.lock().expect("sched lock");
+        let mut sched = unpoisoned(self.shared.sched.lock());
         let target = (0..sched.queues.len())
             .filter(|&i| !sched.dead[i])
             .min_by_key(|&i| sched.queues[i].len());
@@ -276,10 +276,7 @@ impl Fleet {
     /// band. Surfaces in `bitmod status`.
     #[must_use]
     pub fn health(&self) -> Vec<WorkerHealth> {
-        self.shared
-            .boards
-            .lock()
-            .expect("boards lock")
+        unpoisoned(self.shared.boards.lock())
             .iter()
             .enumerate()
             .map(|(worker, score)| WorkerHealth { worker, score: *score })
@@ -303,17 +300,15 @@ impl Fleet {
     #[must_use]
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut sched = self.shared.sched.lock().expect("sched lock");
+        let mut sched = unpoisoned(self.shared.sched.lock());
         loop {
             if sched.queued() == 0 && sched.active == 0 {
                 return true;
             }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else { return false };
-            let (guard, _) = self
-                .shared
-                .changed
-                .wait_timeout(sched, left.min(Duration::from_millis(100)))
-                .expect("sched lock");
+            let (guard, _) = unpoisoned(
+                self.shared.changed.wait_timeout(sched, left.min(Duration::from_millis(100))),
+            );
             sched = guard;
         }
     }
@@ -324,7 +319,7 @@ impl Fleet {
     pub fn shutdown(&self) -> Metrics {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.changed.notify_all();
-        let threads: Vec<_> = self.threads.lock().expect("threads lock").drain(..).collect();
+        let threads: Vec<_> = unpoisoned(self.threads.lock()).drain(..).collect();
         for thread in threads {
             let _ = thread.join();
         }
@@ -346,7 +341,7 @@ impl Fleet {
             kill.store(true, Ordering::SeqCst);
         }
         self.shared.changed.notify_all();
-        let threads: Vec<_> = self.threads.lock().expect("threads lock").drain(..).collect();
+        let threads: Vec<_> = unpoisoned(self.threads.lock()).drain(..).collect();
         for thread in threads {
             let _ = thread.join();
         }
@@ -370,16 +365,30 @@ struct KillGate<'a> {
 }
 
 impl KillGate<'_> {
-    fn killed(&self) -> bool {
-        self.kill.load(Ordering::SeqCst)
+    /// The rejection every load gets once the kill switch is set.
+    fn check(&self) -> Result<(), OracleError> {
+        if self.kill.load(Ordering::SeqCst) {
+            return Err(OracleError::Rejected("worker killed".into()));
+        }
+        Ok(())
+    }
+
+    /// Runs a batched load, or rejects every item once killed.
+    fn check_all(
+        &self,
+        items: usize,
+        load: impl FnOnce() -> Vec<Result<Vec<u32>, OracleError>>,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        match self.check() {
+            Ok(()) => load(),
+            Err(e) => vec![Err(e); items],
+        }
     }
 }
 
 impl KeystreamOracle for KillGate<'_> {
     fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        if self.killed() {
-            return Err(OracleError::Rejected("worker killed".into()));
-        }
+        self.check()?;
         self.inner.keystream(bitstream, words)
     }
 
@@ -388,13 +397,7 @@ impl KeystreamOracle for KillGate<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if self.killed() {
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("worker killed".into())))
-                .collect();
-        }
-        self.inner.keystream_batch(bitstreams, words)
+        self.check_all(bitstreams.len(), || self.inner.keystream_batch(bitstreams, words))
     }
 
     fn state_snapshot(&self) -> Option<Vec<u8>> {
@@ -426,13 +429,7 @@ impl KeystreamOracle for KillGate<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if self.killed() {
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("worker killed".into())))
-                .collect();
-        }
-        self.inner.keystream_batch_clean(bitstreams, words)
+        self.check_all(bitstreams.len(), || self.inner.keystream_batch_clean(bitstreams, words))
     }
 
     fn resolve_plan(
@@ -442,6 +439,30 @@ impl KeystreamOracle for KillGate<'_> {
         want: usize,
     ) -> Result<Vec<u32>, OracleError> {
         self.inner.resolve_plan(plan, clean, want)
+    }
+
+    // The partial-reconfiguration port is the board's second real
+    // port; hiding it would silently turn `partial` sessions into
+    // full loads.
+    fn partial_capable(&self) -> bool {
+        self.inner.partial_capable()
+    }
+
+    fn keystream_partial(
+        &self,
+        partial: &PartialBitstream,
+        words: usize,
+    ) -> Result<Vec<u32>, OracleError> {
+        self.check()?;
+        self.inner.keystream_partial(partial, words)
+    }
+
+    fn keystream_partial_batch_clean(
+        &self,
+        partials: &[PartialBitstream],
+        words: usize,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        self.check_all(partials.len(), || self.inner.keystream_partial_batch_clean(partials, words))
     }
 }
 
@@ -501,7 +522,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             // ride the same requeue path; only the counter differs.
             Verdict::Requeue | Verdict::Migrate => {
                 handle.mark_requeued();
-                let mut sched = shared.sched.lock().expect("sched lock");
+                let mut sched = unpoisoned(shared.sched.lock());
                 sched.injector.push_back(id);
                 drop(sched);
                 let counter = match verdict {
@@ -521,7 +542,7 @@ fn worker_loop(shared: &Shared, index: usize) {
 
     // Exit bookkeeping: drain the queue so peers can steal the work,
     // record utilisation, mark the slot dead.
-    let mut sched = shared.sched.lock().expect("sched lock");
+    let mut sched = unpoisoned(shared.sched.lock());
     let leftover: Vec<String> = sched.queues[index].drain(..).collect();
     sched.injector.extend(leftover);
     sched.dead[index] = true;
@@ -538,7 +559,7 @@ fn worker_loop(shared: &Shared, index: usize) {
 /// Blocks until this worker has a session to run; `None` means exit
 /// (killed, or shut down with nothing left to do).
 fn next_session(shared: &Shared, index: usize, kill: &AtomicBool) -> Option<String> {
-    let mut sched = shared.sched.lock().expect("sched lock");
+    let mut sched = unpoisoned(shared.sched.lock());
     loop {
         if kill.load(Ordering::SeqCst) {
             return None;
@@ -573,8 +594,7 @@ fn next_session(shared: &Shared, index: usize, kill: &AtomicBool) -> Option<Stri
         if shared.shutdown.load(Ordering::SeqCst) && sched.queued() == 0 {
             return None;
         }
-        let (guard, _) =
-            shared.changed.wait_timeout(sched, Duration::from_millis(50)).expect("sched lock");
+        let (guard, _) = unpoisoned(shared.changed.wait_timeout(sched, Duration::from_millis(50)));
         sched = guard;
     }
 }
@@ -584,7 +604,7 @@ fn observe_active(shared: &Shared, active: usize) {
 }
 
 fn session_done(shared: &Shared) {
-    let mut sched = shared.sched.lock().expect("sched lock");
+    let mut sched = unpoisoned(shared.sched.lock());
     sched.active -= 1;
     observe_active(shared, sched.active);
     drop(sched);
@@ -663,6 +683,11 @@ fn run_session(
             (result, None, board)
         }
     }));
+    // Close the leg's trace with the `summary` event, as a local
+    // traced run does: every counter, including the full/partial load
+    // split, for `tail` readers and the trace file. A broken sink
+    // stays non-fatal.
+    let _ = io.telemetry.finish();
 
     match run {
         Ok((result, fate, board)) => {
@@ -689,7 +714,7 @@ fn run_session(
                 let observed = io.telemetry.metrics().counter(names::ORACLE_RETRIES);
                 shared.telemetry.incr(names::BOARD_FAULT_GAP, injected.saturating_sub(observed));
                 let score = {
-                    let mut boards = shared.boards.lock().expect("boards lock");
+                    let mut boards = unpoisoned(shared.boards.lock());
                     boards[index].observe(&local_stats, dead);
                     boards[index]
                 };

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::journal;
@@ -24,6 +24,15 @@ use crate::journal;
 use super::layout::{SessionLayout, SPEC_FILE, TOKEN_FILE};
 use super::session::{CancelToken, CellStats, SessionError, SessionOutcome, SessionSpec};
 use super::wire;
+
+/// Takes a lock (or condvar wait) result whether or not a panicking
+/// thread poisoned it. The fleet's locks guard plain data (status
+/// fields, queues, maps) that a panic cannot leave half-built, so one
+/// panicking thread must not take `status`, `tail` or the scheduler
+/// down with it.
+pub(super) fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Where a session is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +119,7 @@ impl TapBuffer {
     /// The complete NDJSON lines captured so far.
     #[must_use]
     pub fn lines(&self) -> Vec<String> {
-        let bytes = self.bytes.lock().expect("tap lock");
+        let bytes = unpoisoned(self.bytes.lock());
         let text = String::from_utf8_lossy(&bytes);
         let mut lines: Vec<String> = text.split('\n').map(str::to_string).collect();
         // A trailing partial line (no newline yet) is not complete.
@@ -124,7 +133,7 @@ impl TapBuffer {
     }
 
     fn append(&self, buf: &[u8]) {
-        self.bytes.lock().expect("tap lock").extend_from_slice(buf);
+        unpoisoned(self.bytes.lock()).extend_from_slice(buf);
     }
 }
 
@@ -210,7 +219,7 @@ impl SessionHandle {
     /// A point-in-time status snapshot.
     #[must_use]
     pub fn status(&self) -> SessionStatus {
-        let s = self.slot.state.lock().expect("slot lock");
+        let s = unpoisoned(self.slot.state.lock());
         SessionStatus {
             id: self.slot.id.clone(),
             state: s.state,
@@ -224,7 +233,7 @@ impl SessionHandle {
     /// The current life-cycle state.
     #[must_use]
     pub fn state(&self) -> SessionState {
-        self.slot.state.lock().expect("slot lock").state
+        unpoisoned(self.slot.state.lock()).state
     }
 
     /// Requests cooperative cancellation (takes effect at the next
@@ -236,9 +245,9 @@ impl SessionHandle {
     /// Blocks until the session reaches a terminal state.
     #[must_use]
     pub fn wait(&self) -> SessionStatus {
-        let mut s = self.slot.state.lock().expect("slot lock");
+        let mut s = unpoisoned(self.slot.state.lock());
         while !s.state.is_terminal() {
-            s = self.slot.changed.wait(s).expect("slot lock");
+            s = unpoisoned(self.slot.changed.wait(s));
         }
         drop(s);
         self.status()
@@ -248,10 +257,10 @@ impl SessionHandle {
     #[must_use]
     pub fn wait_timeout(&self, timeout: Duration) -> Option<SessionStatus> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.slot.state.lock().expect("slot lock");
+        let mut s = unpoisoned(self.slot.state.lock());
         while !s.state.is_terminal() {
             let left = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (guard, result) = self.slot.changed.wait_timeout(s, left).expect("slot lock");
+            let (guard, result) = unpoisoned(self.slot.changed.wait_timeout(s, left));
             s = guard;
             if result.timed_out() && !s.state.is_terminal() {
                 return None;
@@ -283,7 +292,7 @@ impl SessionHandle {
 
     /// Marks the session running on `worker`.
     pub(crate) fn mark_running(&self, worker: usize) {
-        let mut s = self.slot.state.lock().expect("slot lock");
+        let mut s = unpoisoned(self.slot.state.lock());
         s.state = SessionState::Running;
         s.worker = Some(worker);
         drop(s);
@@ -293,7 +302,7 @@ impl SessionHandle {
     /// Returns the session to the queued state after a steal or a
     /// worker death, counting the hand-over.
     pub(crate) fn mark_requeued(&self) {
-        let mut s = self.slot.state.lock().expect("slot lock");
+        let mut s = unpoisoned(self.slot.state.lock());
         s.state = SessionState::Queued;
         s.steals += 1;
         drop(s);
@@ -317,7 +326,7 @@ impl SessionHandle {
         if let Err(e) = journal::write_atomic(&self.slot.layout.result(), line.as_bytes()) {
             note = format!("{note} [result.json not persisted: {e}]");
         }
-        let mut s = self.slot.state.lock().expect("slot lock");
+        let mut s = unpoisoned(self.slot.state.lock());
         s.state = state;
         s.stats = stats;
         s.note = note;
@@ -374,7 +383,7 @@ impl SessionStore {
             if let Ok(token) = fs::read_to_string(layout.token()) {
                 let token = token.trim().to_string();
                 if !token.is_empty() {
-                    store.tokens.lock().expect("token lock").insert(token, name.clone());
+                    unpoisoned(store.tokens.lock()).insert(token, name.clone());
                 }
             }
             let (state, stats, note, requeue) = match fs::read_to_string(layout.result()) {
@@ -402,12 +411,12 @@ impl SessionStore {
                 changed: Condvar::new(),
             });
             let handle = SessionHandle { slot: slot.clone() };
-            store.slots.lock().expect("slots lock").insert(name, slot);
+            unpoisoned(store.slots.lock()).insert(name, slot);
             if requeue {
                 pending.push(handle);
             }
         }
-        *store.next.lock().expect("id lock") = max_id + 1;
+        *unpoisoned(store.next.lock()) = max_id + 1;
         Ok((store, pending))
     }
 
@@ -445,7 +454,7 @@ impl SessionStore {
     ) -> Result<(SessionHandle, bool), SessionError> {
         // Held across id allocation + directory creation so two racing
         // submits with one token cannot both miss the map.
-        let mut tokens = self.tokens.lock().expect("token lock");
+        let mut tokens = unpoisoned(self.tokens.lock());
         if let Some(token) = token {
             if let Some(id) = tokens.get(token) {
                 if let Some(handle) = self.get(id) {
@@ -454,7 +463,7 @@ impl SessionStore {
             }
         }
         let id = {
-            let mut next = self.next.lock().expect("id lock");
+            let mut next = unpoisoned(self.next.lock());
             let id = format!("s{:06}", *next);
             *next += 1;
             id
@@ -487,26 +496,20 @@ impl SessionStore {
             }),
             changed: Condvar::new(),
         });
-        self.slots.lock().expect("slots lock").insert(id, slot.clone());
+        unpoisoned(self.slots.lock()).insert(id, slot.clone());
         Ok((SessionHandle { slot }, false))
     }
 
     /// The handle of session `id`, when known.
     #[must_use]
     pub fn get(&self, id: &str) -> Option<SessionHandle> {
-        self.slots
-            .lock()
-            .expect("slots lock")
-            .get(id)
-            .map(|slot| SessionHandle { slot: slot.clone() })
+        unpoisoned(self.slots.lock()).get(id).map(|slot| SessionHandle { slot: slot.clone() })
     }
 
     /// Every known session, in id order.
     #[must_use]
     pub fn all(&self) -> Vec<SessionHandle> {
-        self.slots
-            .lock()
-            .expect("slots lock")
+        unpoisoned(self.slots.lock())
             .values()
             .map(|slot| SessionHandle { slot: slot.clone() })
             .collect()
@@ -633,6 +636,28 @@ mod tests {
         let root = temp_root("wait");
         let (store, _) = SessionStore::open(&root).expect("opens");
         let handle = store.admit(SessionSpec::builder().build().unwrap()).expect("admits");
+        assert!(handle.wait_timeout(Duration::from_millis(20)).is_none());
+        handle.finish(&SessionOutcome::Cancelled);
+        let status = handle.wait_timeout(Duration::from_millis(20)).expect("terminal");
+        assert_eq!(status.state, SessionState::Cancelled);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_panic_holding_a_slot_lock_leaves_the_session_answering() {
+        let root = temp_root("poison");
+        let (store, _) = SessionStore::open(&root).expect("opens");
+        let handle = store.admit(SessionSpec::builder().build().unwrap()).expect("admits");
+        let slot = Arc::clone(&handle.slot);
+        let panicked = std::thread::spawn(move || {
+            let _held = slot.state.lock();
+            panic!("worker panics while holding the slot lock");
+        })
+        .join();
+        assert!(panicked.is_err(), "the holder panicked");
+        assert!(handle.slot.state.is_poisoned(), "the slot lock is poisoned");
+
+        assert_eq!(handle.status().state, SessionState::Queued);
         assert!(handle.wait_timeout(Duration::from_millis(20)).is_none());
         handle.finish(&SessionOutcome::Cancelled);
         let status = handle.wait_timeout(Duration::from_millis(20)).expect("terminal");

@@ -529,20 +529,18 @@ impl<'a> ResilientOracle<'a> {
         bitstream: &Bitstream,
         words: usize,
     ) -> Result<Vec<u32>, ResilienceError> {
-        let before = self.stats;
-        let result = self.query_inner(bitstream, words);
-        self.record_query_telemetry(before, &result);
-        result
+        let inner = self.inner;
+        self.query_one(words, &mut || inner.keystream(bitstream, words))
     }
 
     /// Whether a *reordered* speculative query wave is faithful: only
     /// when no query draws jitter, votes, retries, backs off, adapts,
     /// or consumes a fault stream indexed by load order. The attack's
-    /// batched candidate scan interleaves queries from different
-    /// candidates, so it must check this — a fault-planning oracle's
-    /// trace is defined by serial load order, and only
-    /// [`query_batch`](Self::query_batch) (which preserves that
-    /// order) is exact there.
+    /// load-mux scan interleaves queries from different candidates
+    /// when it runs more than one lane, so it must check this — a
+    /// fault-planning oracle's trace is defined by serial load order,
+    /// and only [`query_batch`](Self::query_batch) (which preserves
+    /// that order) is exact there.
     pub(crate) fn reorder_transparent(&self) -> bool {
         self.pass_through() && !self.inner.fault_planning()
     }
@@ -559,36 +557,76 @@ impl<'a> ResilientOracle<'a> {
 
     /// A batch of independent logical queries, answered positionally,
     /// always bit-identical to the serial [`query`](Self::query) loop
-    /// in results, accounting and fault trace:
+    /// in results, accounting and fault trace. Every item runs the
+    /// same vote/retry/budget loop as `query`; only where its reads
+    /// come from differs:
     ///
+    /// * a **one-item batch** is `query` itself: one scalar device
+    ///   load per read, which beats a one-lane gang pass;
     /// * against a **fault-planning oracle** (an `UnreliableBoard`),
-    ///   the whole batch — retries, votes, backoff, budget gates and
-    ///   the adaptive policy — is *simulated* against speculative
-    ///   fault plans for the exact load indices serial execution
-    ///   would use, device data is read once from the clean substrate
-    ///   via [`KeystreamOracle::keystream_batch_clean`] (a
-    ///   gang-simulated board evaluates up to 64 lanes per pass), and
-    ///   exactly the reads serial execution performs are committed.
-    ///   This is what lets noisy runs batch end-to-end;
+    ///   each read is a speculative fault plan for the exact load
+    ///   index serial execution would use, resolved against device
+    ///   data read once from the clean substrate via
+    ///   [`KeystreamOracle::keystream_batch_clean`] (a gang-simulated
+    ///   board evaluates up to 64 lanes per pass). Exactly the reads
+    ///   serial execution performs are committed afterwards, which is
+    ///   what lets noisy runs batch end-to-end;
     /// * on a **pass-through configuration** over a non-planning
-    ///   oracle, the batch is dispatched wide through
-    ///   [`KeystreamOracle::keystream_batch`] with the serial
-    ///   bookkeeping replayed item by item;
+    ///   oracle, each item's single read is the next answer of one
+    ///   wide [`KeystreamOracle::keystream_batch`] call over the
+    ///   budget-admitted prefix;
     /// * otherwise (a voting/retrying configuration over an oracle
-    ///   whose fault stream cannot be planned), batching is defined
-    ///   as the sequential per-item loop outright.
+    ///   whose fault stream cannot be planned), batching is the
+    ///   per-item `query` loop outright.
     pub fn query_batch(
         &mut self,
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, ResilienceError>> {
-        if bitstreams.is_empty() {
-            return Vec::new();
+        let inner = self.inner;
+        if bitstreams.len() <= 1 {
+            return bitstreams.iter().map(|bs| self.query(bs, words)).collect();
         }
-        let results = if self.inner.fault_planning() {
-            self.query_batch_planned(bitstreams, words)
+        let results = if inner.fault_planning() {
+            let clean = inner.keystream_batch_clean(bitstreams, words);
+            let mut plans: Vec<fpga_sim::ReadPlan> = Vec::new();
+            let mut out = Vec::with_capacity(bitstreams.len());
+            for item in &clean {
+                out.push(self.query_one(words, &mut || {
+                    // `plans.len()` loads are already planned ahead of
+                    // the board's commit point, so this read's load
+                    // index is that many past it — exactly where
+                    // serial execution would be.
+                    let plan = inner
+                        .plan_read(plans.len() as u64, words)
+                        .expect("planned path requires a fault-planning oracle");
+                    let outcome = inner.resolve_plan(&plan, item.clone(), words);
+                    plans.push(plan);
+                    outcome
+                }));
+            }
+            inner.commit_reads(&plans);
+            out
         } else if self.pass_through() {
-            self.query_batch_wide(bitstreams, words)
+            // With one vote, one attempt and zero base delay no query
+            // can draw jitter or advance the clock, so the gate is
+            // static over the batch: the per-item loop would admit
+            // exactly this prefix to the device, and every later item
+            // stops at the gate before asking for an answer.
+            let admitted = match self.headroom() {
+                Err(_) => 0,
+                Ok(room) => room.map_or(bitstreams.len(), |room| {
+                    usize::try_from(room).unwrap_or(usize::MAX).min(bitstreams.len())
+                }),
+            };
+            let mut answers = inner.keystream_batch(&bitstreams[..admitted], words).into_iter();
+            (0..bitstreams.len())
+                .map(|_| {
+                    self.query_one(words, &mut || {
+                        answers.next().expect("one answer per admitted read")
+                    })
+                })
+                .collect()
         } else {
             bitstreams.iter().map(|bs| self.query(bs, words)).collect()
         };
@@ -598,257 +636,51 @@ impl<'a> ResilientOracle<'a> {
         results
     }
 
-    /// The planned batch path: the board's fault decisions are pure
-    /// functions of `(board seed, load index)`, so the entire serial
-    /// state machine — vote loops, retry loops, budget and deadline
-    /// gates, jitter, the virtual clock and the adaptive controller —
-    /// is replayed here against *planned* reads, in input order,
-    /// without touching the device. Device data comes from one
-    /// speculative clean wide pass (side-effect-free; items the
-    /// budget cuts never commit), and the plans serial execution
-    /// would have performed are committed to the board afterwards,
-    /// leaving it in the bit-identical state.
-    fn query_batch_planned(
+    /// The one vote/retry/budget loop behind every logical query.
+    /// `read` performs one physical read — a device load, a resolved
+    /// fault plan or a prefetched wide answer — and is called once per
+    /// admitted attempt. Everything that touches the clock, budget and
+    /// policy happens here, *before* the inert telemetry recording.
+    fn query_one(
         &mut self,
-        bitstreams: &[Bitstream],
         words: usize,
-    ) -> Vec<Result<Vec<u32>, ResilienceError>> {
-        let clean = self.inner.keystream_batch_clean(bitstreams, words);
-        let mut plans: Vec<fpga_sim::ReadPlan> = Vec::new();
-        let mut out = Vec::with_capacity(bitstreams.len());
-        for item_clean in &clean {
-            let before = self.stats;
-            let result = self.query_planned_one(item_clean, words, &mut plans);
-            self.record_query_telemetry(before, &result);
-            out.push(result);
-        }
-        self.inner.commit_reads(&plans);
-        out
-    }
-
-    /// One logical query of the planned path — the exact mirror of
-    /// [`query_inner`](Self::query_inner) with planned reads in place
-    /// of device reads.
-    fn query_planned_one(
-        &mut self,
-        clean: &Result<Vec<u32>, OracleError>,
-        words: usize,
-        plans: &mut Vec<fpga_sim::ReadPlan>,
+        read: &mut dyn FnMut() -> Result<Vec<u32>, OracleError>,
     ) -> Result<Vec<u32>, ResilienceError> {
         let before = self.stats;
         self.stats.queries += 1;
-        let q = self.stats.queries - 1;
-        let votes = self.effective_votes();
+        let q = before.queries;
         let mut reads = 0u64;
-        let mut ballots: Vec<Vec<u32>> = Vec::with_capacity(votes as usize);
-        for _ in 0..votes {
-            ballots.push(self.planned_read_once(clean, words, q, &mut reads, plans)?);
-        }
-        let (z, mismatches) = tally(ballots);
-        self.observe_query(q, mismatches, before);
-        Ok(z)
-    }
-
-    /// One planned full read, retried through planned transient
-    /// faults — the exact mirror of [`read_once`](Self::read_once).
-    fn planned_read_once(
-        &mut self,
-        clean: &Result<Vec<u32>, OracleError>,
-        words: usize,
-        q: u64,
-        reads: &mut u64,
-        plans: &mut Vec<fpga_sim::ReadPlan>,
-    ) -> Result<Vec<u32>, ResilienceError> {
-        let policy = self.effective_retry();
-        let attempts = policy.max_attempts.max(1);
-        let mut last: Option<OracleError> = None;
-        for attempt in 0..attempts {
-            if let Some(limit) = self.config.budget {
-                if self.stats.attempts >= limit {
-                    return Err(ResilienceError::BudgetExhausted {
-                        used: self.stats.attempts,
-                        limit,
-                    });
-                }
-            }
-            if let Some(limit_ms) = self.config.deadline_ms {
-                if self.clock.now_ms() > limit_ms {
-                    return Err(ResilienceError::DeadlineExceeded {
-                        now_ms: self.clock.now_ms(),
-                        limit_ms,
-                    });
-                }
-            }
-            self.stats.attempts += 1;
-            let ordinal = *reads;
-            *reads += 1;
-            // `plans.len()` loads are already planned ahead of the
-            // board's commit point, so this read's load index is that
-            // many past it — exactly where serial execution would be.
-            let plan = self
-                .inner
-                .plan_read(plans.len() as u64, words)
-                .expect("planned path requires a fault-planning oracle");
-            let outcome = self.inner.resolve_plan(&plan, clean.clone(), words);
-            plans.push(plan);
-            let outcome = match outcome {
-                Ok(z) if z.len() < words => {
-                    Err(OracleError::ShortRead { got: z.len(), want: words })
-                }
-                other => other,
-            };
-            match outcome {
-                Ok(z) => {
-                    self.stats.votes_cast += 1;
-                    return Ok(z);
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.transient_errors += 1;
-                    let mut rng = self.jitter_rng(q, ordinal);
-                    let delay = policy.delay_ms(attempt, &mut rng);
-                    self.clock.advance(delay);
-                    self.stats.backoff_ms += delay;
-                    last = Some(e);
-                }
-                Err(e) => return Err(ResilienceError::Fatal(e)),
-            }
-        }
-        Err(ResilienceError::RetriesExhausted {
-            attempts,
-            last: last.unwrap_or(OracleError::ShortRead { got: 0, want: words }),
-        })
-    }
-
-    /// The wide batch path: one inner `keystream_batch` call for the
-    /// budget-admitted prefix, with the serial path's per-item
-    /// bookkeeping replayed around it.
-    fn query_batch_wide(
-        &mut self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, ResilienceError>> {
-        // With at most one attempt per item and zero base delay, no
-        // query can draw jitter or advance the clock, so the budget
-        // and deadline gates are static over the batch: the serial
-        // loop would admit exactly this prefix to the device.
-        let deadline_hit = self.config.deadline_ms.is_some_and(|limit| self.clock.now_ms() > limit);
-        let admitted = if deadline_hit {
-            0
-        } else {
-            match self.config.budget {
-                Some(limit) => {
-                    let room = limit.saturating_sub(self.stats.attempts);
-                    usize::try_from(room).unwrap_or(usize::MAX).min(bitstreams.len())
-                }
-                None => bitstreams.len(),
-            }
-        };
-        let inner_results = self.inner.keystream_batch(&bitstreams[..admitted], words);
-        let mut out = Vec::with_capacity(bitstreams.len());
-        let mut answers = inner_results.into_iter();
-        for i in 0..bitstreams.len() {
-            let before = self.stats;
-            self.stats.queries += 1;
-            let q = self.stats.queries - 1;
-            let result: Result<Vec<u32>, ResilienceError> = if i >= admitted {
-                // Same gate order as `read_once`: budget, then
-                // deadline.
-                if let Some(limit) =
-                    self.config.budget.filter(|&limit| self.stats.attempts >= limit)
-                {
-                    Err(ResilienceError::BudgetExhausted { used: self.stats.attempts, limit })
-                } else {
-                    let limit_ms = self.config.deadline_ms.unwrap_or(0);
-                    Err(ResilienceError::DeadlineExceeded { now_ms: self.clock.now_ms(), limit_ms })
-                }
-            } else {
-                self.stats.attempts += 1;
-                let outcome = match answers.next().expect("one answer per admitted item") {
-                    Ok(z) if z.len() < words => {
-                        Err(OracleError::ShortRead { got: z.len(), want: words })
-                    }
-                    other => other,
-                };
-                match outcome {
-                    Ok(z) => {
-                        self.stats.votes_cast += 1;
-                        Ok(z)
-                    }
-                    Err(e) if e.is_transient() => {
-                        // Bookkeeping mirrors the serial transient
-                        // arm; with base delay 0 this draws nothing
-                        // and advances nothing.
-                        self.stats.transient_errors += 1;
-                        let mut rng = self.jitter_rng(q, 0);
-                        let delay = self.config.retry.delay_ms(0, &mut rng);
-                        self.clock.advance(delay);
-                        self.stats.backoff_ms += delay;
-                        Err(ResilienceError::RetriesExhausted { attempts: 1, last: e })
-                    }
-                    Err(e) => Err(ResilienceError::Fatal(e)),
-                }
-            };
-            self.record_query_telemetry(before, &result);
-            out.push(result);
-        }
-        out
-    }
-
-    /// The uninstrumented query body — everything that touches the
-    /// clock, budget and policy lives here, *before* any recording.
-    fn query_inner(
-        &mut self,
-        bitstream: &Bitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, ResilienceError> {
-        let before = self.stats;
-        self.stats.queries += 1;
-        let q = self.stats.queries - 1;
-        let votes = self.effective_votes();
-        let mut reads = 0u64;
-        let mut ballots: Vec<Vec<u32>> = Vec::with_capacity(votes as usize);
-        for _ in 0..votes {
-            ballots.push(self.read_once(bitstream, words, q, &mut reads)?);
-        }
-        let (z, mismatches) = tally(ballots);
-        self.observe_query(q, mismatches, before);
-        Ok(z)
+        let result = (0..self.effective_votes())
+            .map(|_| self.read_once(words, q, &mut reads, read))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|ballots| {
+                let (z, mismatches) = tally(ballots);
+                self.observe_query(q, mismatches, before);
+                z
+            });
+        self.record_query_telemetry(before, &result);
+        result
     }
 
     /// One full read, retried through transient errors.
     fn read_once(
         &mut self,
-        bitstream: &Bitstream,
         words: usize,
         q: u64,
         reads: &mut u64,
+        read: &mut dyn FnMut() -> Result<Vec<u32>, OracleError>,
     ) -> Result<Vec<u32>, ResilienceError> {
         let policy = self.effective_retry();
         let attempts = policy.max_attempts.max(1);
         let mut last: Option<OracleError> = None;
         for attempt in 0..attempts {
-            if let Some(limit) = self.config.budget {
-                if self.stats.attempts >= limit {
-                    return Err(ResilienceError::BudgetExhausted {
-                        used: self.stats.attempts,
-                        limit,
-                    });
-                }
-            }
-            if let Some(limit_ms) = self.config.deadline_ms {
-                if self.clock.now_ms() > limit_ms {
-                    return Err(ResilienceError::DeadlineExceeded {
-                        now_ms: self.clock.now_ms(),
-                        limit_ms,
-                    });
-                }
-            }
+            self.headroom()?;
             self.stats.attempts += 1;
             let ordinal = *reads;
             *reads += 1;
             // A short Ok from a non-typed oracle is the same fault as
             // a typed ShortRead: retry it.
-            let outcome = match self.inner.keystream(bitstream, words) {
+            let outcome = match read() {
                 Ok(z) if z.len() < words => {
                     Err(OracleError::ShortRead { got: z.len(), want: words })
                 }
@@ -874,6 +706,23 @@ impl<'a> ResilientOracle<'a> {
             attempts,
             last: last.unwrap_or(OracleError::ShortRead { got: 0, want: words }),
         })
+    }
+
+    /// The budget and deadline gate in front of every physical
+    /// attempt: the attempts still allowed (`None` = unlimited), or
+    /// the typed cut when the budget is spent or the virtual clock is
+    /// past the deadline (checked in that order).
+    fn headroom(&self) -> Result<Option<u64>, ResilienceError> {
+        if let Some(limit) = self.config.budget.filter(|&limit| self.stats.attempts >= limit) {
+            return Err(ResilienceError::BudgetExhausted { used: self.stats.attempts, limit });
+        }
+        if let Some(limit_ms) = self.config.deadline_ms.filter(|&ms| self.clock.now_ms() > ms) {
+            return Err(ResilienceError::DeadlineExceeded {
+                now_ms: self.clock.now_ms(),
+                limit_ms,
+            });
+        }
+        Ok(self.remaining_budget())
     }
 
     /// Records one completed query's effort deltas and outcome

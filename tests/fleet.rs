@@ -24,17 +24,19 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn a_killed_workers_session_is_stolen_and_resumes_to_serial_totals() {
-    let spec = SessionSpec::builder().noisy(true).seed(7).build().expect("valid spec");
-
+/// Submits `spec` to a two-worker fleet, kills the worker running it
+/// after its first write-ahead checkpoint, and asserts that a peer
+/// steals it and recovers the key with effort totals identical to an
+/// uninterrupted serial run. Returns the session's NDJSON telemetry
+/// (every leg, in order).
+fn kill_and_steal(tag: &str, spec: SessionSpec) -> Vec<String> {
     // The ground truth: one uninterrupted serial run of the same spec.
     let baseline = spec.run_local().expect("serial baseline completes");
     let SessionOutcome::Recovered(serial_stats) = baseline.outcome else {
         panic!("serial baseline did not recover: {:?}", baseline.outcome);
     };
 
-    let root = temp_root("steal");
+    let root = temp_root(tag);
     let fleet = Fleet::start(FleetConfig::new(&root).workers(2)).expect("fleet starts");
     let handle = fleet.submit(spec).expect("submits");
 
@@ -73,7 +75,34 @@ fn a_killed_workers_session_is_stolen_and_resumes_to_serial_totals() {
     assert!(counters.counter(names::FLEET_WORKERS_KILLED) >= 1, "worker death counted");
     assert!(counters.counter(names::FLEET_SESSIONS_RESUMED) >= 1, "resume-from-journal counted");
     fleet.shutdown();
+    let lines = handle.tap_lines();
     let _ = std::fs::remove_dir_all(&root);
+    lines
+}
+
+#[test]
+fn a_killed_workers_session_is_stolen_and_resumes_to_serial_totals() {
+    kill_and_steal("steal", SessionSpec::builder().noisy(true).seed(7).build().expect("valid"));
+}
+
+#[test]
+fn a_partial_session_keeps_the_partial_port_through_kill_and_steal() {
+    let spec = SessionSpec::builder().noisy(true).seed(7).partial(true).build().expect("valid");
+    let lines = kill_and_steal("partial", spec);
+    let summary = lines
+        .iter()
+        .rev()
+        .find(|l| l.contains("\"ev\":\"summary\""))
+        .expect("the finishing leg closes its trace with a summary");
+    let key = format!("\"{}\":", names::PR_PARTIAL_LOADS);
+    let at = summary.find(&key).expect("the summary counts partial loads") + key.len();
+    let partial: u64 = summary[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("a count");
+    assert!(partial > 0, "the fleet must ship frame deltas, not full loads: {summary}");
 }
 
 #[test]

@@ -1,7 +1,10 @@
 //! SNOW 3G software-model performance: keystream generation, the
-//! faulted models used by the attack, LFSR reversal and key recovery.
+//! faulted models used by the attack, LFSR reversal and key recovery;
+//! plus the Fig. 1 container's AES-256-CBC and HMAC-SHA-256, which
+//! seal and open every encrypted candidate load.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use bitstream::secure::{hmac_sha256, Aes256};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use snow3g::vectors::{PAPER_TABLE_IV, TEST_SET_1_IV, TEST_SET_1_KEY};
 use snow3g::{recover_key, FaultSpec, FaultySnow3g, Lfsr, Snow3g};
 
@@ -64,12 +67,28 @@ fn bench_encrypt(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_container(c: &mut Criterion) {
+    let mut g = c.benchmark_group("container");
+    let data = vec![0xA5u8; 1 << 20];
+    let aes = Aes256::new(&[0x4B; 32]);
+    let iv = [0x1F; 16];
+    let sealed = aes.cbc_encrypt(&iv, &data);
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("aes256-cbc/encrypt", |b| b.iter(|| aes.cbc_encrypt(&iv, black_box(&data))));
+    g.bench_function("aes256-cbc/decrypt", |b| {
+        b.iter(|| aes.cbc_decrypt(&iv, black_box(&sealed)).expect("own ciphertext"))
+    });
+    g.bench_function("hmac-sha256", |b| b.iter(|| hmac_sha256(&[0x2C; 32], black_box(&data))));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_keystream,
     bench_initialization,
     bench_faulty_models,
     bench_reversal_and_recovery,
-    bench_encrypt
+    bench_encrypt,
+    bench_container
 );
 criterion_main!(benches);

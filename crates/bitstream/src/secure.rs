@@ -98,13 +98,10 @@ impl Sha256 {
             self.compress(&block);
             self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for chunk in &mut chunks {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            self.compress(block);
         }
-        let tail = chunks.remainder();
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -113,14 +110,12 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bitlen = self.len * 8;
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // The length block must not count toward the message length,
-        // but `update` only reads `buf_len` for padding logic, so
-        // feeding it through is safe.
-        self.update(&bitlen.to_be_bytes());
+        // 0x80, then zeros up to 56 mod 64, then the 64-bit length.
+        let zeros = (119 - self.buf_len) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bitlen.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.h.iter().enumerate() {
@@ -182,8 +177,9 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 #[derive(Clone, Copy)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// The padded key block, kept to build the opad at finalize time.
-    key_block: [u8; 64],
+    /// The outer hash with the opad block already absorbed, so a tag
+    /// costs one compression less per container.
+    outer: Sha256,
 }
 
 impl fmt::Debug for HmacSha256 {
@@ -202,10 +198,12 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut inner = Sha256::new();
-        let ipad: [u8; 64] = core::array::from_fn(|i| key_block[i] ^ 0x36);
-        inner.update(&ipad);
-        Self { inner, key_block }
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h
+        };
+        Self { inner: keyed(0x36), outer: keyed(0x5c) }
     }
 
     /// Absorbs message bytes.
@@ -216,11 +214,8 @@ impl HmacSha256 {
     /// Produces the tag.
     #[must_use]
     pub fn finalize(self) -> [u8; 32] {
-        let ih = self.inner.finalize();
-        let mut outer = Sha256::new();
-        let opad: [u8; 64] = core::array::from_fn(|i| self.key_block[i] ^ 0x5c);
-        outer.update(&opad);
-        outer.update(&ih);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -237,58 +232,14 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 // AES-256
 // --------------------------------------------------------------------
 
-fn aes_sbox() -> [u8; 256] {
-    // Generate from GF(2^8) inversion + affine map (same construction
-    // as the Rijndael S-box used inside SNOW 3G's S1).
-    fn xtime(a: u8) -> u8 {
-        (a << 1) ^ (if a & 0x80 != 0 { 0x1B } else { 0 })
-    }
-    fn mul(mut a: u8, mut b: u8) -> u8 {
-        let mut p = 0;
-        while b != 0 {
-            if b & 1 != 0 {
-                p ^= a;
-            }
-            a = xtime(a);
-            b >>= 1;
-        }
-        p
-    }
-    let mut inv = [0u8; 256];
-    for a in 1..=255u8 {
-        for b in 1..=255u8 {
-            if mul(a, b) == 1 {
-                inv[a as usize] = b;
-                break;
-            }
-        }
-    }
-    let mut s = [0u8; 256];
-    for (i, e) in s.iter_mut().enumerate() {
-        let x = inv[i];
-        *e = x ^ x.rotate_left(1) ^ x.rotate_left(2) ^ x.rotate_left(3) ^ x.rotate_left(4) ^ 0x63;
-    }
-    s
-}
-
-fn aes_tables() -> &'static ([u8; 256], [u8; 256]) {
-    use std::sync::OnceLock;
-    static T: OnceLock<([u8; 256], [u8; 256])> = OnceLock::new();
-    T.get_or_init(|| {
-        let s = aes_sbox();
-        let mut si = [0u8; 256];
-        for (i, &v) in s.iter().enumerate() {
-            si[v as usize] = i as u8;
-        }
-        (s, si)
-    })
-}
-
-fn xtime(a: u8) -> u8 {
+/// Multiplies by `x` in GF(2⁸) modulo the AES polynomial.
+const fn xtime(a: u8) -> u8 {
     (a << 1) ^ (if a & 0x80 != 0 { 0x1B } else { 0 })
 }
 
-fn gmul(a: u8, mut b: u8) -> u8 {
+/// Bit-serial GF(2⁸) multiplication: the generating reference for
+/// every table below.
+const fn gmul(a: u8, mut b: u8) -> u8 {
     let mut p = 0;
     let mut x = a;
     while b != 0 {
@@ -301,48 +252,128 @@ fn gmul(a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// Precomputed GF(2^8) multiplication tables for the (Inv)MixColumns
-/// constants. The bit-serial [`gmul`] is kept as the generating
-/// reference; these tables exist because the patch oracle puts block
-/// en/decryption on the per-candidate hot path (DESIGN.md §16).
-struct MulTables {
-    m2: [u8; 256],
-    m3: [u8; 256],
-    m9: [u8; 256],
-    m11: [u8; 256],
-    m13: [u8; 256],
-    m14: [u8; 256],
-}
-
-fn mul_tables() -> &'static MulTables {
-    use std::sync::OnceLock;
-    static T: OnceLock<MulTables> = OnceLock::new();
-    T.get_or_init(|| {
-        let mut t = MulTables {
-            m2: [0; 256],
-            m3: [0; 256],
-            m9: [0; 256],
-            m11: [0; 256],
-            m13: [0; 256],
-            m14: [0; 256],
-        };
-        for a in 0..=255u8 {
-            let i = a as usize;
-            t.m2[i] = gmul(a, 2);
-            t.m3[i] = gmul(a, 3);
-            t.m9[i] = gmul(a, 9);
-            t.m11[i] = gmul(a, 11);
-            t.m13[i] = gmul(a, 13);
-            t.m14[i] = gmul(a, 14);
+/// The AES S-box: GF(2⁸) inversion (`a²⁵⁴`, which maps 0 to 0) then
+/// the affine map — the same construction as the Rijndael S-box
+/// inside SNOW 3G's S1.
+const fn sbox() -> [u8; 256] {
+    let mut s = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        // a^254 = a^2 · a^4 · … · a^128.
+        let mut sq = gmul(i as u8, i as u8);
+        let mut x = 1;
+        let mut k = 1;
+        while k < 8 {
+            x = gmul(x, sq);
+            sq = gmul(sq, sq);
+            k += 1;
         }
-        t
-    })
+        s[i] = x ^ x.rotate_left(1) ^ x.rotate_left(2) ^ x.rotate_left(3) ^ x.rotate_left(4) ^ 0x63;
+        i += 1;
+    }
+    s
 }
 
-/// An expanded AES-256 key (15 round keys).
+/// One direction of the cipher. `t[r][x]` is the (Inv)MixColumns
+/// column `r` scaled by `sbox[x]`, packed big-endian (row 0 in the top
+/// byte), so one lookup per state byte fuses SubBytes and MixColumns;
+/// `t[r]` is `t[0]` rotated right by `r` bytes. The last round has no
+/// MixColumns and uses `sbox` alone.
+struct Tables {
+    sbox: [u8; 256],
+    t: [[u32; 256]; 4],
+}
+
+impl Tables {
+    /// Builds the tables for `sbox` and the first matrix column `col`.
+    const fn new(sbox: [u8; 256], col: [u8; 4]) -> Self {
+        let mut t = [[0u32; 256]; 4];
+        let mut x = 0;
+        while x < 256 {
+            let s = sbox[x];
+            let w = u32::from_be_bytes([
+                gmul(s, col[0]),
+                gmul(s, col[1]),
+                gmul(s, col[2]),
+                gmul(s, col[3]),
+            ]);
+            let mut r = 0;
+            while r < 4 {
+                t[r][x] = w.rotate_right(8 * r as u32);
+                r += 1;
+            }
+            x += 1;
+        }
+        Self { sbox, t }
+    }
+
+    /// Runs the 14 rounds over `block` under round keys `rk`. The
+    /// byte in row `r` of output column `j` comes from input column
+    /// `j + r·STEP`: `STEP` 1 is ShiftRows, 3 is InvShiftRows.
+    fn crypt<const STEP: usize>(&self, rk: &[u32; 60], block: &[u8; 16]) -> [u8; 16] {
+        let mut s: [u32; 4] = core::array::from_fn(|j| {
+            u32::from_be_bytes([block[4 * j], block[4 * j + 1], block[4 * j + 2], block[4 * j + 3]])
+                ^ rk[j]
+        });
+        for round in rk[4..56].as_chunks::<4>().0 {
+            s = core::array::from_fn(|j| {
+                round[j]
+                    ^ self.t[0][row(s[j], 0)]
+                    ^ self.t[1][row(s[(j + STEP) % 4], 1)]
+                    ^ self.t[2][row(s[(j + 2 * STEP) % 4], 2)]
+                    ^ self.t[3][row(s[(j + 3 * STEP) % 4], 3)]
+            });
+        }
+        let mut out = [0u8; 16];
+        for (j, col) in out.chunks_exact_mut(4).enumerate() {
+            let w = (0..4).fold(rk[56 + j], |acc, r| {
+                acc ^ u32::from(self.sbox[row(s[(j + r * STEP) % 4], r)]) << (24 - 8 * r)
+            });
+            col.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// The byte in row `r` of the big-endian column word `w`.
+fn row(w: u32, r: usize) -> usize {
+    usize::from((w >> (24 - 8 * r)) as u8)
+}
+
+const SBOX: [u8; 256] = sbox();
+
+/// Encryption: S-box and the MixColumns column (2, 1, 1, 3).
+static ENC: Tables = Tables::new(SBOX, [2, 1, 1, 3]);
+
+/// Decryption: S⁻¹ and the InvMixColumns column (14, 9, 13, 11).
+static DEC: Tables = Tables::new(
+    {
+        let mut inv = [0u8; 256];
+        let mut i = 0;
+        while i < 256 {
+            inv[SBOX[i] as usize] = i as u8;
+            i += 1;
+        }
+        inv
+    },
+    [14, 9, 13, 11],
+);
+
+/// An expanded AES-256 key (15 round keys per direction).
+///
+/// The cipher is table-driven: every round is 16 lookups into 1 KiB
+/// tables indexed by state bytes, so its cache footprint depends on
+/// the key and data and it is **not constant-time**. That is
+/// acceptable here only because the attacker and the device are both
+/// simulated in one process; it is no model for a real decryptor.
 #[derive(Clone)]
 pub struct Aes256 {
-    round_keys: [[u8; 16]; 15],
+    /// Encryption round keys, one big-endian column per word.
+    enc: [u32; 60],
+    /// Decryption round keys for the equivalent inverse cipher
+    /// (FIPS-197 §5.3.5): the encryption keys in reverse round order,
+    /// the inner 13 passed through InvMixColumns.
+    dec: [u32; 60],
 }
 
 impl fmt::Debug for Aes256 {
@@ -355,98 +386,57 @@ impl Aes256 {
     /// Expands a 256-bit key.
     #[must_use]
     pub fn new(key: &[u8; 32]) -> Self {
-        let (sbox, _) = aes_tables();
-        let nk = 8;
-        let nr = 14;
-        let mut w = [[0u8; 4]; 60];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[usize::from(b)]));
+        let mut enc = [0u32; 60];
+        for (w, c) in enc.iter_mut().zip(key.chunks_exact(4)) {
+            *w = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
         }
         let mut rcon = 1u8;
-        for i in nk..4 * (nr + 1) {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp = [
-                    sbox[temp[1] as usize] ^ rcon,
-                    sbox[temp[2] as usize],
-                    sbox[temp[3] as usize],
-                    sbox[temp[0] as usize],
-                ];
+        for i in 8..60 {
+            let mut temp = enc[i - 1];
+            if i % 8 == 0 {
+                temp = sub_word(temp.rotate_left(8)) ^ u32::from(rcon) << 24;
                 rcon = xtime(rcon);
-            } else if i % nk == 4 {
-                temp = [
-                    sbox[temp[0] as usize],
-                    sbox[temp[1] as usize],
-                    sbox[temp[2] as usize],
-                    sbox[temp[3] as usize],
-                ];
+            } else if i % 8 == 4 {
+                temp = sub_word(temp);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
+            enc[i] = enc[i - 8] ^ temp;
+        }
+        // InvMixColumns of a word: DEC.t maps S⁻¹(x) to a column, so
+        // feeding it S(x) leaves the bare column.
+        let inv_mix =
+            |w: u32| (0..4).fold(0, |acc, r| acc ^ DEC.t[r][usize::from(SBOX[row(w, r)])]);
+        let mut dec = [0u32; 60];
+        for (round, keys) in dec.chunks_exact_mut(4).enumerate() {
+            let from = &enc[4 * (14 - round)..4 * (15 - round)];
+            for (d, &e) in keys.iter_mut().zip(from) {
+                *d = if round == 0 || round == 14 { e } else { inv_mix(e) };
             }
         }
-        let mut round_keys = [[0u8; 16]; 15];
-        for r in 0..15 {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Self { round_keys }
+        Self { enc, dec }
     }
 
     /// Encrypts one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let (sbox, _) = aes_tables();
-        let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for r in 1..14 {
-            sub_bytes(&mut s, sbox);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[r]);
-        }
-        sub_bytes(&mut s, sbox);
-        shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[14]);
-        s
+        ENC.crypt::<1>(&self.enc, block)
     }
 
     /// Decrypts one 16-byte block.
     #[must_use]
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let (_, sinv) = aes_tables();
-        let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[14]);
-        for r in (1..14).rev() {
-            inv_shift_rows(&mut s);
-            sub_bytes(&mut s, sinv);
-            add_round_key(&mut s, &self.round_keys[r]);
-            inv_mix_columns(&mut s);
-        }
-        inv_shift_rows(&mut s);
-        sub_bytes(&mut s, sinv);
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
+        DEC.crypt::<3>(&self.dec, block)
     }
 
     /// Encrypts with CBC mode and PKCS#7 padding.
     #[must_use]
     pub fn cbc_encrypt(&self, iv: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
         let pad = 16 - (plaintext.len() % 16);
-        let mut data = plaintext.to_vec();
+        let mut data = Vec::with_capacity(plaintext.len() + pad);
+        data.extend_from_slice(plaintext);
         data.extend(std::iter::repeat_n(pad as u8, pad));
-        let mut prev = *iv;
-        let mut out = Vec::with_capacity(data.len());
-        for chunk in data.chunks_exact(16) {
-            let mut block = [0u8; 16];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = chunk[i] ^ prev[i];
-            }
-            prev = self.encrypt_block(&block);
-            out.extend_from_slice(&prev);
-        }
-        out
+        self.cbc_encrypt_in_place(iv, &mut data);
+        data
     }
 
     /// Decrypts CBC + PKCS#7.
@@ -462,19 +452,39 @@ impl Aes256 {
         if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(16) {
             return Err(CbcError::BadLength { len: ciphertext.len() });
         }
-        let mut prev = *iv;
-        let mut out = Vec::with_capacity(ciphertext.len());
-        for chunk in ciphertext.chunks_exact(16) {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            let dec = self.decrypt_block(&block);
-            for (i, d) in dec.iter().enumerate() {
-                out.push(d ^ prev[i]);
-            }
-            prev = block;
-        }
+        let mut out = ciphertext.to_vec();
+        self.cbc_decrypt_in_place(iv, &mut out);
         strip_pkcs7(&mut out)?;
         Ok(out)
+    }
+
+    /// CBC-encrypts whole blocks in place, chaining from `prev` (the
+    /// IV, or the ciphertext block before `data`).
+    pub(crate) fn cbc_encrypt_in_place(&self, prev: &[u8; 16], data: &mut [u8]) {
+        debug_assert!(data.len().is_multiple_of(16));
+        let mut prev = *prev;
+        for block in data.as_chunks_mut::<16>().0 {
+            for (b, p) in block.iter_mut().zip(prev) {
+                *b ^= p;
+            }
+            prev = self.encrypt_block(block);
+            *block = prev;
+        }
+    }
+
+    /// CBC-decrypts whole blocks in place, chaining from `prev` (the
+    /// IV, or the ciphertext block before `data`).
+    pub(crate) fn cbc_decrypt_in_place(&self, prev: &[u8; 16], data: &mut [u8]) {
+        debug_assert!(data.len().is_multiple_of(16));
+        let mut prev = *prev;
+        for block in data.as_chunks_mut::<16>().0 {
+            let ct = *block;
+            *block = self.decrypt_block(&ct);
+            for (b, p) in block.iter_mut().zip(prev) {
+                *b ^= p;
+            }
+            prev = ct;
+        }
     }
 }
 
@@ -518,65 +528,6 @@ impl fmt::Display for CbcError {
 }
 
 impl std::error::Error for CbcError {}
-
-fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        s[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16], table: &[u8; 256]) {
-    for b in s.iter_mut() {
-        *b = table[*b as usize];
-    }
-}
-
-fn shift_rows(s: &mut [u8; 16]) {
-    // Column-major state: s[r + 4c].
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * c] = orig[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * ((c + r) % 4)] = orig[r + 4 * c];
-        }
-    }
-}
-
-fn mix_columns(s: &mut [u8; 16]) {
-    let t = mul_tables();
-    for c in 0..4 {
-        let b = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        let i = [b[0] as usize, b[1] as usize, b[2] as usize, b[3] as usize];
-        s[4 * c] = t.m2[i[0]] ^ t.m3[i[1]] ^ b[2] ^ b[3];
-        s[4 * c + 1] = b[0] ^ t.m2[i[1]] ^ t.m3[i[2]] ^ b[3];
-        s[4 * c + 2] = b[0] ^ b[1] ^ t.m2[i[2]] ^ t.m3[i[3]];
-        s[4 * c + 3] = t.m3[i[0]] ^ b[1] ^ b[2] ^ t.m2[i[3]];
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    let t = mul_tables();
-    for c in 0..4 {
-        let i = [
-            s[4 * c] as usize,
-            s[4 * c + 1] as usize,
-            s[4 * c + 2] as usize,
-            s[4 * c + 3] as usize,
-        ];
-        s[4 * c] = t.m14[i[0]] ^ t.m11[i[1]] ^ t.m13[i[2]] ^ t.m9[i[3]];
-        s[4 * c + 1] = t.m9[i[0]] ^ t.m14[i[1]] ^ t.m11[i[2]] ^ t.m13[i[3]];
-        s[4 * c + 2] = t.m13[i[0]] ^ t.m9[i[1]] ^ t.m14[i[2]] ^ t.m11[i[3]];
-        s[4 * c + 3] = t.m11[i[0]] ^ t.m13[i[1]] ^ t.m9[i[2]] ^ t.m14[i[3]];
-    }
-}
 
 // --------------------------------------------------------------------
 // The Fig. 1 container
@@ -743,6 +694,8 @@ impl ScaOracle {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn hex(bytes: &[u8]) -> String {
@@ -788,6 +741,78 @@ mod tests {
         let ct = aes.encrypt_block(&pt);
         assert_eq!(hex(&ct), "8ea2b7ca516745bfeafc49904b496089");
         assert_eq!(aes.decrypt_block(&ct), pt);
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn cbc_aes256_sp800_38a_known_answer() {
+        // NIST SP 800-38A F.2.5 (encrypt) and F.2.6 (decrypt).
+        let key: [u8; 32] =
+            unhex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
+                .try_into()
+                .unwrap();
+        let iv: [u8; 16] = unhex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
+        let pt = unhex(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ));
+        let ct = unhex(concat!(
+            "f58c4c04d6e5f1ba779eabfb5f7bfbd6",
+            "9cfc4e967edb808d679f777bc6702c7d",
+            "39f23369a9d9bacfa530e26304231461",
+            "b2eb05e2c39be9fcda6c19078c6a9d1b",
+        ));
+        let aes = Aes256::new(&key);
+        let sealed = aes.cbc_encrypt(&iv, &pt);
+        // PKCS#7 appends a fifth, all-padding block.
+        assert_eq!(sealed.len(), 80);
+        assert_eq!(hex(&sealed[..64]), hex(&ct));
+        let mut opened = ct.clone();
+        aes.cbc_decrypt_in_place(&iv, &mut opened);
+        assert_eq!(hex(&opened), hex(&pt));
+        assert_eq!(aes.cbc_decrypt(&iv, &sealed).unwrap(), pt);
+    }
+
+    #[test]
+    fn const_tables_match_the_bit_serial_reference() {
+        for x in 0..=255u8 {
+            let i = usize::from(x);
+            assert_eq!(DEC.sbox[usize::from(ENC.sbox[i])], x, "S⁻¹(S({x:#04x}))");
+            let s = ENC.sbox[i];
+            let te = [gmul(s, 2), s, s, gmul(s, 3)];
+            assert_eq!(ENC.t[0][i], u32::from_be_bytes(te), "Te0[{x:#04x}]");
+            let si = DEC.sbox[i];
+            let td = [gmul(si, 14), gmul(si, 9), gmul(si, 13), gmul(si, 11)];
+            assert_eq!(DEC.t[0][i], u32::from_be_bytes(td), "Td0[{x:#04x}]");
+            for r in 1..4 {
+                assert_eq!(ENC.t[r][i], ENC.t[0][i].rotate_right(8 * r as u32));
+                assert_eq!(DEC.t[r][i], DEC.t[0][i].rotate_right(8 * r as u32));
+            }
+        }
+        assert_eq!([SBOX[0x00], SBOX[0x01], SBOX[0x53]], [0x63, 0x7c, 0xed]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn aes_and_cbc_round_trip(
+            key in any::<[u8; 32]>(),
+            iv in any::<[u8; 16]>(),
+            block in any::<[u8; 16]>(),
+            msg in prop::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let aes = Aes256::new(&key);
+            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
+            let ct = aes.cbc_encrypt(&iv, &msg);
+            prop_assert_eq!(ct.len(), (msg.len() / 16 + 1) * 16);
+            prop_assert_eq!(aes.cbc_decrypt(&iv, &ct).unwrap(), msg);
+        }
     }
 
     #[test]

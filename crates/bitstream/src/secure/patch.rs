@@ -428,32 +428,22 @@ impl PatchOracle {
         let mac = mac.finalize();
 
         // The dirty window starts at the CBC block holding the first
-        // changed plaintext byte and runs to the end of the stream.
+        // changed plaintext byte and runs to the end of the stream:
+        // reuse the clean ciphertext prefix, then CBC forward from its
+        // last block over the new plaintext tail.
         let first_plain = BODY_OFFSET + first_changed;
         let tail_start = first_plain - first_plain % 16;
-        let plain_len = self.plain.len();
-        let pad = 16 - plain_len % 16;
-        let mut tail = Vec::with_capacity(plain_len - tail_start + pad);
-        tail.extend_from_slice(&body[tail_start - BODY_OFFSET..]);
-        tail.extend_from_slice(&self.k_auth);
-        tail.extend_from_slice(&mac);
-        tail.extend(core::iter::repeat_n(pad as u8, pad));
-        debug_assert!(tail.len().is_multiple_of(16));
-
-        // CBC forward from the last clean ciphertext block.
-        let mut prev = [0u8; 16];
-        prev.copy_from_slice(&self.golden_ct[tail_start - 16..tail_start]);
+        let pad = 16 - self.plain.len() % 16;
         let mut ciphertext = Vec::with_capacity(self.golden_ct.len());
         ciphertext.extend_from_slice(&self.golden_ct[..tail_start]);
-        for chunk in tail.chunks_exact(16) {
-            let mut block = [0u8; 16];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = chunk[i] ^ prev[i];
-            }
-            prev = self.aes.encrypt_block(&block);
-            ciphertext.extend_from_slice(&prev);
-        }
+        ciphertext.extend_from_slice(&body[tail_start - BODY_OFFSET..]);
+        ciphertext.extend_from_slice(&self.k_auth);
+        ciphertext.extend_from_slice(&mac);
+        ciphertext.extend(core::iter::repeat_n(pad as u8, pad));
         debug_assert_eq!(ciphertext.len(), self.golden_ct.len());
+        let (prefix, tail) = ciphertext.split_at_mut(tail_start);
+        let prev = prefix.last_chunk::<16>().expect("the header is three blocks");
+        self.aes.cbc_encrypt_in_place(prev, tail);
 
         let mut stats = self.stats.get();
         stats.patches += 1;
@@ -496,25 +486,16 @@ impl PatchOracle {
             return self.open_full(sealed);
         }
 
-        // Seek-decrypt the dirty suffix: CBC block `i` needs only
-        // ciphertext blocks `i-1` and `i`.
-        let mut prev = [0u8; 16];
-        prev.copy_from_slice(&ct[fd * 16 - 16..fd * 16]);
-        let mut tail = Vec::with_capacity(ct.len() - fd * 16);
-        for chunk in ct[fd * 16..].chunks_exact(16) {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            let dec = self.aes.decrypt_block(&block);
-            for (i, d) in dec.iter().enumerate() {
-                tail.push(d ^ prev[i]);
-            }
-            prev = block;
-        }
-        strip_pkcs7(&mut tail).map_err(OpenSecureError::Decrypt)?;
+        // Seek-decrypt the dirty suffix (CBC block `i` needs only
+        // ciphertext blocks `i-1` and `i`) after the cached clean
+        // plaintext prefix.
+        let mut plain = Vec::with_capacity(ct.len());
+        plain.extend_from_slice(&self.plain[..fd * 16]);
+        plain.extend_from_slice(&ct[fd * 16..]);
+        let prev = ct[..fd * 16].last_chunk::<16>().expect("the header is three blocks");
+        self.aes.cbc_decrypt_in_place(prev, &mut plain[fd * 16..]);
+        strip_pkcs7(&mut plain).map_err(OpenSecureError::Decrypt)?;
 
-        // Reassemble: clean plaintext prefix (cached) + dirty tail.
-        let mut plain = self.plain[..fd * 16].to_vec();
-        plain.extend_from_slice(&tail);
         // The length field sits in the (unchanged) header, so the
         // total must still match the golden geometry.
         if plain.len() != self.plain.len() {

@@ -1,7 +1,7 @@
 //! Telemetry recorder costs: what one recording call charges at the
 //! oracle chokepoint, off vs. on vs. streaming to a sink — the
 //! microscopic view behind the end-to-end overhead gate
-//! (`telemetry-overhead`, pinned by `BENCH_telemetry.json`).
+//! (`bench-gate telemetry`, ceiling 5%).
 
 use bench::test_board;
 use bitmod::resilient::{ResilienceConfig, ResilientOracle};

@@ -16,7 +16,7 @@
 //! edit touches are re-encrypted and only the HMAC suffix past the
 //! nearest midstate checkpoint is re-absorbed — the container tax is
 //! a small constant factor, not O(container) per load
-//! (`encrypted-throughput` gates it at ≤1.5× in CI).
+//! (`bench-gate encrypted` gates it at ≤1.5× in CI).
 //!
 //! ```text
 //! cargo run --release --example encrypted_bitstream

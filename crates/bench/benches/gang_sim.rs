@@ -4,26 +4,26 @@
 
 use bench::test_board;
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpga_sim::GANG_LANES;
+use fpga_sim::{Load, GANG_LANES};
 
 const WORDS: usize = 16;
 
 fn bench_keystream(c: &mut Criterion) {
     let board = test_board(false);
     let golden = board.extract_bitstream();
-    let batch: Vec<_> = (0..GANG_LANES).map(|_| golden.clone()).collect();
+    let batch: Vec<_> = (0..GANG_LANES).map(|_| Load::Full(&golden)).collect();
     let mut g = c.benchmark_group("gang/keystream-16-words");
     g.sample_size(10);
     g.bench_function("scalar-x64", |b| {
         b.iter(|| {
-            for bs in &batch {
-                board.generate_keystream(bs, WORDS).expect("runs");
+            for &lane in &batch {
+                board.load(&[lane], WORDS).pop().expect("one lane").expect("runs");
             }
         });
     });
     g.bench_function("gang-1x64", |b| {
         b.iter(|| {
-            for lane in board.keystream_batch(&batch, WORDS) {
+            for lane in board.load(&batch, WORDS) {
                 lane.expect("runs");
             }
         });

@@ -5,6 +5,7 @@
 use bench::test_board;
 use bitmod::Attack;
 use criterion::{criterion_group, criterion_main, Criterion};
+use fpga_sim::Load;
 
 fn bench_board_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline/board-build");
@@ -20,7 +21,8 @@ fn bench_configure_and_run(c: &mut Criterion) {
     g.bench_function("parse-bitstream", |b| b.iter(|| golden.parse().expect("parses")));
     g.bench_function("program", |b| b.iter(|| board.fpga().program(&golden).expect("programs")));
     g.bench_function("keystream-16-words", |b| {
-        b.iter(|| board.generate_keystream(&golden, 16).expect("runs"));
+        let load = [Load::Full(&golden)];
+        b.iter(|| board.load(&load, 16).pop().expect("one lane").expect("runs"));
     });
     g.finish();
 }

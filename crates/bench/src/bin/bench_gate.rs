@@ -119,6 +119,11 @@ struct Gate {
 
 const FIVE: NonZeroUsize = NonZeroUsize::new(5).expect("non-zero");
 
+/// Pairs for the resilience gate: its two arms differ by ~0% against a
+/// 5% ceiling, so a loaded host's per-pair spread needs more pairs; an
+/// odd count makes the median one paired ratio.
+const ELEVEN: NonZeroUsize = NonZeroUsize::new(11).expect("non-zero");
+
 /// Sessions per campaign arm.
 const CAMPAIGN_SESSIONS: usize = 256;
 
@@ -158,7 +163,7 @@ const GATES: [Gate; 6] = [
         name: "resilience",
         labels: ["fixed", "adaptive"],
         arms: [|| adaptive(false), || adaptive(true)],
-        pairs: FIVE,
+        pairs: ELEVEN,
         bound: Bound::OverheadPct(5.0),
     },
     Gate {

@@ -196,19 +196,32 @@ impl<'a> EncryptedOracle<'a> {
         Ok(PartialBitstream::from_bytes(body))
     }
 
-    /// Ships a whole batch, short-circuiting per lane on container
-    /// rejection.
-    fn ship_batch(
+    /// Ships a whole batch and loads it through `load` — the inner
+    /// oracle's full-load batch (with or without fault accounting). A
+    /// refused container occupies its lane as an error; the accepted
+    /// lanes then load one at a time, preserving order.
+    fn batch(
         &self,
         bitstreams: &[Bitstream],
-    ) -> Result<Vec<Bitstream>, Vec<Result<Bitstream, OracleError>>> {
+        words: usize,
+        load: impl Fn(&[Bitstream]) -> Vec<Result<Vec<u32>, OracleError>>,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
         let shipped: Vec<Result<Bitstream, OracleError>> =
             bitstreams.iter().map(|bs| self.ship(bs)).collect();
         if shipped.iter().all(Result::is_ok) {
-            Ok(shipped.into_iter().filter_map(Result::ok).collect())
-        } else {
-            Err(shipped)
+            let opened: Vec<Bitstream> = shipped.into_iter().filter_map(Result::ok).collect();
+            return load(&opened);
         }
+        shipped
+            .into_iter()
+            .map(|r| {
+                r.and_then(|bs| {
+                    load(core::slice::from_ref(&bs))
+                        .pop()
+                        .unwrap_or(Err(OracleError::ShortRead { got: 0, want: words }))
+                })
+            })
+            .collect()
     }
 }
 
@@ -223,15 +236,7 @@ impl KeystreamOracle for EncryptedOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        match self.ship_batch(bitstreams) {
-            Ok(opened) => self.inner.keystream_batch(&opened, words),
-            // A refused container occupies its lane as an error; the
-            // accepted lanes still run (serially, preserving order).
-            Err(shipped) => shipped
-                .into_iter()
-                .map(|r| r.and_then(|bs| self.inner.keystream(&bs, words)))
-                .collect(),
-        }
+        self.batch(bitstreams, words, |bs| self.inner.keystream_batch(bs, words))
     }
 
     fn state_snapshot(&self) -> Option<Vec<u8>> {
@@ -259,20 +264,7 @@ impl KeystreamOracle for EncryptedOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        match self.ship_batch(bitstreams) {
-            Ok(opened) => self.inner.keystream_batch_clean(&opened, words),
-            Err(shipped) => shipped
-                .into_iter()
-                .map(|r| {
-                    r.and_then(|bs| {
-                        self.inner
-                            .keystream_batch_clean(core::slice::from_ref(&bs), words)
-                            .pop()
-                            .unwrap_or(Err(OracleError::ShortRead { got: 0, want: words }))
-                    })
-                })
-                .collect(),
-        }
+        self.batch(bitstreams, words, |bs| self.inner.keystream_batch_clean(bs, words))
     }
 
     fn resolve_plan(
@@ -383,12 +375,29 @@ mod tests {
         let range = variant.fdri_data_range().expect("payload");
         variant.as_mut_bytes()[range.start + 64] ^= 0x08;
         variant.recompute_crc();
-        let batch = vec![golden.clone(), variant, golden.clone()];
+        let batch = vec![golden.clone(), variant.clone(), golden.clone()];
         let batched = enc.keystream_batch(&batch, 3);
         for (i, bs) in batch.iter().enumerate() {
             let serial = enc.keystream(bs, 3).expect("serial");
             assert_eq!(batched[i].as_ref().expect("lane ok"), &serial, "lane {i}");
         }
+
+        // A container the patch oracle refuses fails its own lane
+        // alone; the accepted lanes still equal their serial loads.
+        let mut grown = golden.clone().into_bytes();
+        grown.push(0);
+        let batch = vec![variant, Bitstream::from_bytes(grown), golden];
+        let batched = enc.keystream_batch(&batch, 3);
+        let serial: Vec<_> =
+            batch.iter().map(|bs| enc.keystream(bs, 3).map_err(|e| e.to_string())).collect();
+        let batched: Vec<_> = batched.into_iter().map(|r| r.map_err(|e| e.to_string())).collect();
+        assert_eq!(batched, serial, "lane for lane, error strings included");
+        assert!(
+            matches!(&batched[1], Err(why) if why.contains("patch oracle refused")),
+            "{:?}",
+            batched[1]
+        );
+        assert!(batched[0].is_ok() && batched[2].is_ok(), "accepted lanes still load");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use core::fmt;
 
 use bitstream::{Bitstream, PartialBitstream};
+use fpga_sim::{BoardError, Load, ProgramError, ReadPlan, Snow3gBoard, UnreliableBoard};
 
 /// An error from the device.
 #[derive(Debug, Clone)]
@@ -142,14 +143,14 @@ pub trait KeystreamOracle {
     /// past the current commit point, without executing or committing
     /// anything. `None` when this oracle does not plan
     /// (`fault_planning()` is false).
-    fn plan_read(&self, _ahead: u64, _words: usize) -> Option<fpga_sim::ReadPlan> {
+    fn plan_read(&self, _ahead: u64, _words: usize) -> Option<ReadPlan> {
         None
     }
 
     /// Commits planned reads (in load-index order), applying their
     /// fault-stat deltas as if they had been executed serially. A
     /// no-op for non-planning oracles.
-    fn commit_reads(&self, _plans: &[fpga_sim::ReadPlan]) {}
+    fn commit_reads(&self, _plans: &[ReadPlan]) {}
 
     /// Loads every bitstream and reads keystream words from the
     /// *clean* substrate, bypassing fault injection and fault
@@ -171,7 +172,7 @@ pub trait KeystreamOracle {
     /// oracle) passes the clean result through.
     fn resolve_plan(
         &self,
-        _plan: &fpga_sim::ReadPlan,
+        _plan: &ReadPlan,
         clean: Result<Vec<u32>, OracleError>,
         _want: usize,
     ) -> Result<Vec<u32>, OracleError> {
@@ -220,9 +221,48 @@ pub trait KeystreamOracle {
     }
 }
 
-impl KeystreamOracle for fpga_sim::Snow3gBoard {
+impl From<BoardError> for OracleError {
+    /// The injected link faults keep their type (the resilience layer
+    /// retries the transient ones and migrates off a dead board); every
+    /// other board error is a refusal.
+    fn from(e: BoardError) -> Self {
+        match e {
+            BoardError::Program(ProgramError::TransientLoad) => {
+                OracleError::TransientLoad("configuration port glitched mid-load".into())
+            }
+            BoardError::Program(ProgramError::ConfigTimeout { ms }) => OracleError::Timeout { ms },
+            BoardError::Program(ProgramError::BoardDead) => OracleError::BoardDead,
+            e => OracleError::Rejected(e.to_string()),
+        }
+    }
+}
+
+/// One load on the ideal board.
+fn load_one(board: &Snow3gBoard, load: Load<'_>, words: usize) -> Result<Vec<u32>, OracleError> {
+    Ok(board.load(&[load], words).pop().expect("one lane")?)
+}
+
+/// Many loads on the ideal board, one result per lane.
+fn load_all<'a>(
+    board: &Snow3gBoard,
+    loads: impl Iterator<Item = Load<'a>>,
+    words: usize,
+) -> Vec<Result<Vec<u32>, OracleError>> {
+    let loads: Vec<Load<'a>> = loads.collect();
+    board.load(&loads, words).into_iter().map(|r| r.map_err(OracleError::from)).collect()
+}
+
+/// A read the fault model cut short is a [`OracleError::ShortRead`].
+fn whole(read: Result<Vec<u32>, OracleError>, want: usize) -> Result<Vec<u32>, OracleError> {
+    match read {
+        Ok(z) if z.len() < want => Err(OracleError::ShortRead { got: z.len(), want }),
+        read => read,
+    }
+}
+
+impl KeystreamOracle for Snow3gBoard {
     fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        self.generate_keystream(bitstream, words).map_err(|e| OracleError::Rejected(e.to_string()))
+        load_one(self, Load::Full(bitstream), words)
     }
 
     /// 64-lane gang simulation: up to 64 candidate configurations are
@@ -234,10 +274,7 @@ impl KeystreamOracle for fpga_sim::Snow3gBoard {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.keystream_batch(bitstreams, words)
-            .into_iter()
-            .map(|r| r.map_err(|e| OracleError::Rejected(e.to_string())))
-            .collect()
+        load_all(self, bitstreams.iter().map(Load::Full), words)
     }
 
     fn partial_capable(&self) -> bool {
@@ -249,8 +286,7 @@ impl KeystreamOracle for fpga_sim::Snow3gBoard {
         partial: &PartialBitstream,
         words: usize,
     ) -> Result<Vec<u32>, OracleError> {
-        self.generate_keystream_partial(partial, words)
-            .map_err(|e| OracleError::Rejected(e.to_string()))
+        load_one(self, Load::Partial(partial), words)
     }
 
     /// Gang-simulated serial-chain batch: deltas apply sequentially,
@@ -260,28 +296,13 @@ impl KeystreamOracle for fpga_sim::Snow3gBoard {
         partials: &[PartialBitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.generate_keystream_partial_batch(partials, words)
-            .into_iter()
-            .map(|r| r.map_err(|e| OracleError::Rejected(e.to_string())))
-            .collect()
+        load_all(self, partials.iter().map(Load::Partial), words)
     }
 }
 
-impl KeystreamOracle for fpga_sim::UnreliableBoard {
+impl KeystreamOracle for UnreliableBoard {
     fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        use fpga_sim::{BoardError, ProgramError};
-        match self.generate_keystream(bitstream, words) {
-            Ok(z) if z.len() < words => Err(OracleError::ShortRead { got: z.len(), want: words }),
-            Ok(z) => Ok(z),
-            Err(BoardError::Program(ProgramError::TransientLoad)) => {
-                Err(OracleError::TransientLoad("configuration port glitched mid-load".into()))
-            }
-            Err(BoardError::Program(ProgramError::ConfigTimeout { ms })) => {
-                Err(OracleError::Timeout { ms })
-            }
-            Err(BoardError::Program(ProgramError::BoardDead)) => Err(OracleError::BoardDead),
-            Err(e) => Err(OracleError::Rejected(e.to_string())),
-        }
+        whole(self.load(Load::Full(bitstream), words).map_err(OracleError::from), words)
     }
 
     fn state_snapshot(&self) -> Option<Vec<u8>> {
@@ -298,11 +319,11 @@ impl KeystreamOracle for fpga_sim::UnreliableBoard {
         true
     }
 
-    fn plan_read(&self, ahead: u64, words: usize) -> Option<fpga_sim::ReadPlan> {
+    fn plan_read(&self, ahead: u64, words: usize) -> Option<ReadPlan> {
         Some(self.plan_read(ahead, words))
     }
 
-    fn commit_reads(&self, plans: &[fpga_sim::ReadPlan]) {
+    fn commit_reads(&self, plans: &[ReadPlan]) {
         self.commit_plans(plans);
     }
 
@@ -313,11 +334,7 @@ impl KeystreamOracle for fpga_sim::UnreliableBoard {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.inner()
-            .keystream_batch(bitstreams, words)
-            .into_iter()
-            .map(|r| r.map_err(|e| OracleError::Rejected(e.to_string())))
-            .collect()
+        load_all(self.inner(), bitstreams.iter().map(Load::Full), words)
     }
 
     fn partial_capable(&self) -> bool {
@@ -333,19 +350,7 @@ impl KeystreamOracle for fpga_sim::UnreliableBoard {
         partial: &PartialBitstream,
         words: usize,
     ) -> Result<Vec<u32>, OracleError> {
-        use fpga_sim::{BoardError, ProgramError};
-        match self.generate_keystream_partial(partial, words) {
-            Ok(z) if z.len() < words => Err(OracleError::ShortRead { got: z.len(), want: words }),
-            Ok(z) => Ok(z),
-            Err(BoardError::Program(ProgramError::TransientLoad)) => {
-                Err(OracleError::TransientLoad("configuration port glitched mid-load".into()))
-            }
-            Err(BoardError::Program(ProgramError::ConfigTimeout { ms })) => {
-                Err(OracleError::Timeout { ms })
-            }
-            Err(BoardError::Program(ProgramError::BoardDead)) => Err(OracleError::BoardDead),
-            Err(e) => Err(OracleError::Rejected(e.to_string())),
-        }
+        whole(self.load(Load::Partial(partial), words).map_err(OracleError::from), words)
     }
 
     /// Clean substrate: the inner ideal board's gang-simulated
@@ -355,44 +360,23 @@ impl KeystreamOracle for fpga_sim::UnreliableBoard {
         partials: &[PartialBitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.inner()
-            .generate_keystream_partial_batch(partials, words)
-            .into_iter()
-            .map(|r| r.map_err(|e| OracleError::Rejected(e.to_string())))
-            .collect()
+        load_all(self.inner(), partials.iter().map(Load::Partial), words)
     }
 
     fn resolve_plan(
         &self,
-        plan: &fpga_sim::ReadPlan,
+        plan: &ReadPlan,
         clean: Result<Vec<u32>, OracleError>,
         want: usize,
     ) -> Result<Vec<u32>, OracleError> {
-        use fpga_sim::ReadOutcome;
-        match &plan.outcome {
-            ReadOutcome::TransientLoad => {
-                Err(OracleError::TransientLoad("configuration port glitched mid-load".into()))
-            }
-            ReadOutcome::Timeout { ms } => Err(OracleError::Timeout { ms: *ms }),
-            ReadOutcome::Dead => Err(OracleError::BoardDead),
-            ReadOutcome::Read { keep, glitch, .. } => {
-                let mut z = clean?;
-                z.truncate(*keep);
-                let z = self.corrupt(z, glitch);
-                if z.len() < want {
-                    Err(OracleError::ShortRead { got: z.len(), want })
-                } else {
-                    Ok(z)
-                }
-            }
-        }
+        whole(self.resolve(plan, |_| clean), want)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpga_sim::{ImplementOptions, Snow3gBoard};
+    use fpga_sim::ImplementOptions;
     use netlist::snow3g_circuit::Snow3gCircuitConfig;
     use snow3g::vectors::{TEST_SET_1_IV, TEST_SET_1_KEY};
 

@@ -157,6 +157,51 @@ impl<'a> PrOracle<'a> {
     fn clear_image(&self) {
         self.state.lock().expect("pr state lock").image = None;
     }
+
+    /// Counts one shipped frame-delta.
+    fn count_partial(&self, delta: &PartialDelta) {
+        self.telemetry.incr(names::PR_PARTIAL_LOADS, 1);
+        self.telemetry.incr(names::PR_FRAMES_WRITTEN, delta.frames_written as u64);
+        self.telemetry.incr(names::PR_BYTES_SHIPPED, delta.stream.len() as u64);
+    }
+
+    /// Ships a batch as one serial delta chain when every lane is
+    /// delta-expressible, else through `full` — the inner oracle's
+    /// full-load batch (with or without fault accounting). Either way
+    /// the tracked image follows: the chain's last lane after an
+    /// all-clean chain, nothing otherwise (a multi-lane full batch on
+    /// the simulated board decodes differentially and never
+    /// materialises a frame image).
+    fn batch(
+        &self,
+        bitstreams: &[Bitstream],
+        words: usize,
+        full: impl FnOnce(&[Bitstream]) -> Vec<Result<Vec<u32>, OracleError>>,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        if !self.enabled {
+            return full(bitstreams);
+        }
+        let Some(chain) = self.forge_chain(bitstreams) else {
+            let out = full(bitstreams);
+            self.clear_image();
+            self.telemetry.incr(names::PR_FULL_LOADS, bitstreams.len() as u64);
+            self.telemetry
+                .incr(names::PR_BYTES_SHIPPED, bitstreams.iter().map(|b| b.len() as u64).sum());
+            return out;
+        };
+        let partials: Vec<PartialBitstream> = chain.iter().map(|d| d.stream.clone()).collect();
+        let out = self.inner.keystream_partial_batch_clean(&partials, words);
+        match (bitstreams.last(), out.iter().all(Result::is_ok)) {
+            (Some(last), true) => {
+                self.state.lock().expect("pr state lock").image = Some(last.clone());
+            }
+            _ => self.clear_image(),
+        }
+        for d in &chain {
+            self.count_partial(d);
+        }
+        out
+    }
 }
 
 impl KeystreamOracle for PrOracle<'_> {
@@ -178,9 +223,7 @@ impl KeystreamOracle for PrOracle<'_> {
             }
             Err(_) => self.clear_image(),
         }
-        self.telemetry.incr(names::PR_PARTIAL_LOADS, 1);
-        self.telemetry.incr(names::PR_FRAMES_WRITTEN, delta.frames_written as u64);
-        self.telemetry.incr(names::PR_BYTES_SHIPPED, delta.stream.len() as u64);
+        self.count_partial(&delta);
         out
     }
 
@@ -189,47 +232,14 @@ impl KeystreamOracle for PrOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if !self.enabled {
-            return self.inner.keystream_batch(bitstreams, words);
-        }
-        if self.inner.fault_planning() {
+        if self.enabled && self.inner.fault_planning() {
             // A fault-modelled oracle batches as a serial loop (its
             // default), so route each lane through `keystream`: one
             // physical load per lane, drawing the identical fault
             // plan a full load at the same index would.
             return bitstreams.iter().map(|bs| self.keystream(bs, words)).collect();
         }
-        match self.forge_chain(bitstreams) {
-            Some(chain) => {
-                let partials: Vec<PartialBitstream> =
-                    chain.iter().map(|d| d.stream.clone()).collect();
-                let out = self.inner.keystream_partial_batch_clean(&partials, words);
-                match (bitstreams.last(), out.iter().all(Result::is_ok)) {
-                    (Some(last), true) => {
-                        self.state.lock().expect("pr state lock").image = Some(last.clone());
-                    }
-                    _ => self.clear_image(),
-                }
-                for d in &chain {
-                    self.telemetry.incr(names::PR_PARTIAL_LOADS, 1);
-                    self.telemetry.incr(names::PR_FRAMES_WRITTEN, d.frames_written as u64);
-                    self.telemetry.incr(names::PR_BYTES_SHIPPED, d.stream.len() as u64);
-                }
-                out
-            }
-            None => {
-                let out = self.inner.keystream_batch(bitstreams, words);
-                // A full batch on the simulated board runs through the
-                // differential gang decoder, which never materialises
-                // a frame image — the device-side partial base is
-                // gone, so ours must be too.
-                self.clear_image();
-                self.telemetry.incr(names::PR_FULL_LOADS, bitstreams.len() as u64);
-                self.telemetry
-                    .incr(names::PR_BYTES_SHIPPED, bitstreams.iter().map(|b| b.len() as u64).sum());
-                out
-            }
-        }
+        self.batch(bitstreams, words, |bs| self.inner.keystream_batch(bs, words))
     }
 
     fn state_snapshot(&self) -> Option<Vec<u8>> {
@@ -261,36 +271,7 @@ impl KeystreamOracle for PrOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if !self.enabled {
-            return self.inner.keystream_batch_clean(bitstreams, words);
-        }
-        match self.forge_chain(bitstreams) {
-            Some(chain) => {
-                let partials: Vec<PartialBitstream> =
-                    chain.iter().map(|d| d.stream.clone()).collect();
-                let out = self.inner.keystream_partial_batch_clean(&partials, words);
-                match (bitstreams.last(), out.iter().all(Result::is_ok)) {
-                    (Some(last), true) => {
-                        self.state.lock().expect("pr state lock").image = Some(last.clone());
-                    }
-                    _ => self.clear_image(),
-                }
-                for d in &chain {
-                    self.telemetry.incr(names::PR_PARTIAL_LOADS, 1);
-                    self.telemetry.incr(names::PR_FRAMES_WRITTEN, d.frames_written as u64);
-                    self.telemetry.incr(names::PR_BYTES_SHIPPED, d.stream.len() as u64);
-                }
-                out
-            }
-            None => {
-                let out = self.inner.keystream_batch_clean(bitstreams, words);
-                self.clear_image();
-                self.telemetry.incr(names::PR_FULL_LOADS, bitstreams.len() as u64);
-                self.telemetry
-                    .incr(names::PR_BYTES_SHIPPED, bitstreams.iter().map(|b| b.len() as u64).sum());
-                out
-            }
-        }
+        self.batch(bitstreams, words, |bs| self.inner.keystream_batch_clean(bs, words))
     }
 
     fn resolve_plan(
@@ -327,7 +308,7 @@ impl KeystreamOracle for PrOracle<'_> {
 mod tests {
     use super::*;
     use crate::telemetry::Metrics;
-    use fpga_sim::{ImplementOptions, Snow3gBoard};
+    use fpga_sim::{ImplementOptions, Load, Snow3gBoard};
     use netlist::snow3g_circuit::Snow3gCircuitConfig;
     use snow3g::vectors::{TEST_SET_1_IV, TEST_SET_1_KEY};
 
@@ -362,13 +343,13 @@ mod tests {
 
         // First load: full (nothing on the device yet).
         let z_golden = pr.keystream(&golden, 4).expect("first load");
-        assert_eq!(z_golden, b.generate_keystream(&golden, 4).expect("direct"));
+        assert_eq!(z_golden, b.keystream(&golden, 4).expect("direct"));
 
         // Second query: ships as a delta, same keystream as a full
         // load of the candidate.
         let cand = variant(&golden, 512, 0x40);
         let z_cand = pr.keystream(&cand, 4).expect("delta load");
-        assert_eq!(z_cand, b.generate_keystream(&cand, 4).expect("direct"));
+        assert_eq!(z_cand, b.keystream(&cand, 4).expect("direct"));
 
         // Rollback: revisiting the golden rides the next delta.
         let z_back = pr.keystream(&golden, 4).expect("rollback");
@@ -405,7 +386,7 @@ mod tests {
         let lanes = vec![variant(&golden, 0, 0x01), variant(&golden, 4096, 0x80), golden.clone()];
         let batched = pr.keystream_batch(&lanes, 3);
         for (i, bs) in lanes.iter().enumerate() {
-            let direct = b.generate_keystream(bs, 3).expect("direct");
+            let direct = b.keystream(bs, 3).expect("direct");
             assert_eq!(batched[i].as_ref().expect("lane ok"), &direct, "lane {i}");
         }
 
@@ -413,7 +394,7 @@ mod tests {
         // the next serial query deltas from it successfully.
         let next = variant(&golden, 128, 0x02);
         let z = pr.keystream(&next, 3).expect("delta from batch tail");
-        assert_eq!(z, b.generate_keystream(&next, 3).expect("direct"));
+        assert_eq!(z, b.keystream(&next, 3).expect("direct"));
     }
 
     #[test]
@@ -433,7 +414,8 @@ mod tests {
         let range = bad_crc.fdri_data_range().expect("payload");
         bad_crc.as_mut_bytes()[range.start + 256] ^= 0x04;
         let err = pr.keystream(&bad_crc, 2).expect_err("refused");
-        let direct = b.generate_keystream(&bad_crc, 2).expect_err("refused directly");
+        let direct = b.load(&[Load::Full(&bad_crc)], 2).pop().expect("one lane");
+        let direct = direct.expect_err("refused directly");
         assert_eq!(err.to_string(), format!("device refused configuration: {direct}"));
         let m = counters(&telemetry);
         assert_eq!(m.counter(names::PR_FULL_LOADS), 2, "fallback ships in full");

@@ -14,6 +14,7 @@ use bitstream::{Bitstream, FrameData};
 use boolfn::DualOutputInit;
 
 use crate::fabric::{Fpga, PartialApplyError, ProgramError};
+use crate::gang::{GangConfiguredFpga, GANG_LANES};
 use crate::implementer::{implement, ImplementError, ImplementOptions, Implementation};
 
 /// An error from board construction or operation.
@@ -66,6 +67,16 @@ impl From<ProgramError> for BoardError {
     }
 }
 
+/// One load through one of the device's configuration ports.
+#[derive(Debug, Clone, Copy)]
+pub enum Load<'a> {
+    /// A complete configuration through the full-load port.
+    Full(&'a Bitstream),
+    /// A frame-delta through the partial-reconfiguration port, applied
+    /// to the image the last load left on the device.
+    Partial(&'a PartialBitstream),
+}
+
 /// The configuration-memory image a successful full load leaves on
 /// the device — the base later frame-deltas are applied to.
 struct PrBase {
@@ -86,9 +97,8 @@ pub struct Snow3gBoard {
     run_net: NodeId,
     z_nets: Vec<NodeId>,
     valid_net: NodeId,
-    /// On-device configuration image: latched by every successful
-    /// full load, advanced by every applied partial, dropped when a
-    /// batched full-stream load leaves the final image unobserved.
+    /// On-device configuration image partial lanes delta against (see
+    /// [`Snow3gBoard::load`] for when it is latched and dropped).
     pr_base: Mutex<Option<PrBase>>,
     /// Ground-truth artifacts for tests and evaluation only.
     pub circuit: Snow3gCircuit,
@@ -150,24 +160,118 @@ impl Snow3gBoard {
         &self.fpga
     }
 
-    /// Loads `bitstream` and collects `words` keystream words — the
-    /// oracle the attack drives. Returns an error if the device
-    /// refuses the bitstream (bad CRC, wrong size).
+    /// Loads each lane through its configuration port and collects
+    /// `words` keystream words from every lane the device accepts —
+    /// the one oracle the attack drives. Results are positionally
+    /// aligned with `loads`; a refused lane gets its own error while
+    /// the others still run, and every accepted lane's keystream is
+    /// bit-identical to the same load issued alone.
     ///
-    /// # Errors
+    /// Configuration walks the lanes in order against the on-device
+    /// image (the base partial streams delta against):
     ///
-    /// Propagates [`ProgramError`].
-    pub fn generate_keystream(
-        &self,
-        bitstream: &Bitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, BoardError> {
-        let (frames, inits) = self.fpga.decode_with_frames(bitstream)?;
-        let out = self.collect_keystream(inits.clone(), words);
-        // The load succeeded: the configuration memory now holds this
-        // stream's frames, and partial streams may delta against it.
-        *self.pr_base.lock().expect("pr base lock") = Some(PrBase { frames, inits });
-        Ok(out)
+    /// * a full lane replaces the image. When it is the only full lane
+    ///   it is decoded with its frames, which become the new base;
+    ///   several full lanes share one differential decode
+    ///   ([`Fpga::decode_lut_inits_batch`]) that never materialises
+    ///   frames, so each leaves no base behind. A refused full lane
+    ///   leaves no base either;
+    /// * a partial lane applies its frame-delta to the image the lanes
+    ///   before it left. With no base it fails with
+    ///   [`BoardError::NoPartialBase`]; a refused stream drops the
+    ///   base, so the partial lanes after it fail the same way and the
+    ///   next load must be full.
+    ///
+    /// The accepted lanes then run once: the scalar simulator when one
+    /// lane is live, gang passes of up to [`GANG_LANES`] lanes
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a previous caller panicked while holding the
+    /// internal lock.
+    #[must_use]
+    pub fn load(&self, loads: &[Load<'_>], words: usize) -> Vec<Result<Vec<u32>, BoardError>> {
+        let mut out: Vec<Result<Vec<u32>, BoardError>> = Vec::with_capacity(loads.len());
+        let mut slots: Vec<usize> = Vec::new();
+        let mut lanes: Vec<Vec<DualOutputInit>> = Vec::new();
+        for (slot, lane) in self.configure(loads).into_iter().enumerate() {
+            match lane {
+                Ok(inits) => {
+                    slots.push(slot);
+                    lanes.push(inits);
+                    out.push(Ok(Vec::with_capacity(words)));
+                }
+                Err(e) => out.push(Err(e)),
+            }
+        }
+        if let [slot] = slots[..] {
+            out[slot] = Ok(self.collect_keystream(lanes.pop().expect("one live lane"), words));
+            return out;
+        }
+        for (slots, lanes) in slots.chunks(GANG_LANES).zip(lanes.chunks(GANG_LANES)) {
+            let mut gang = GangConfiguredFpga::with_inits(&self.fpga, lanes);
+            gang.set_input(self.run_net, u64::MAX);
+            gang.run(WARMUP_CYCLES);
+            for _ in 0..words {
+                gang.step();
+                for (lane, &slot) in slots.iter().enumerate() {
+                    if let Ok(zs) = &mut out[slot] {
+                        zs.push(gang.word(lane, &self.z_nets));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The configuration half of [`Self::load`]: each lane's LUT
+    /// INITs, or its refusal. Full streams are decoded before the
+    /// image lock is taken.
+    fn configure(&self, loads: &[Load<'_>]) -> Vec<Result<Vec<DualOutputInit>, BoardError>> {
+        let full: Vec<&Bitstream> = loads
+            .iter()
+            .filter_map(|load| match load {
+                Load::Full(bs) => Some(*bs),
+                Load::Partial(_) => None,
+            })
+            .collect();
+        // A lone full lane keeps its frames for the base.
+        let mut frames = None;
+        let mut decoded = if let [bs] = full[..] {
+            vec![self.fpga.decode_with_frames(bs).map(|(f, inits)| {
+                frames = Some(f);
+                inits
+            })]
+        } else {
+            self.fpga.decode_lut_inits_batch(&full)
+        }
+        .into_iter();
+        let mut base = self.pr_base.lock().expect("pr base lock");
+        loads
+            .iter()
+            .map(|load| match load {
+                Load::Full(_) => {
+                    let decoded = decoded.next().expect("one decode per full lane");
+                    *base = match (&decoded, frames.take()) {
+                        (Ok(inits), Some(frames)) => Some(PrBase { frames, inits: inits.clone() }),
+                        _ => None,
+                    };
+                    Ok(decoded?)
+                }
+                Load::Partial(partial) => {
+                    let image = base.as_mut().ok_or(BoardError::NoPartialBase)?;
+                    match self.fpga.apply_partial_base(&mut image.frames, &mut image.inits, partial)
+                    {
+                        Ok(_) => Ok(image.inits.clone()),
+                        Err(e) => {
+                            *base = None;
+                            Err(BoardError::PartialApply(e))
+                        }
+                    }
+                }
+            })
+            .collect()
     }
 
     /// Runs a freshly-configured device (global set/reset just
@@ -180,173 +284,6 @@ impl Snow3gBoard {
         for _ in 0..words {
             dev.step();
             out.push(dev.word(&self.z_nets));
-        }
-        out
-    }
-
-    /// Whether a full load has established the on-device image partial
-    /// streams delta against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous caller panicked while holding the
-    /// internal lock.
-    #[must_use]
-    pub fn has_partial_base(&self) -> bool {
-        self.pr_base.lock().expect("pr base lock").is_some()
-    }
-
-    /// Partial-reconfiguration oracle: applies a frame-delta to the
-    /// current on-device image in O(touched frames), pulses global
-    /// set/reset, and collects `words` keystream words — functionally
-    /// identical to a full [`Self::generate_keystream`] of the
-    /// bitstream the delta produces, at a fraction of the
-    /// configuration traffic and decode work.
-    ///
-    /// # Errors
-    ///
-    /// [`BoardError::NoPartialBase`] if no full load preceded this
-    /// call; [`BoardError::PartialApply`] if the device refuses the
-    /// stream (the image is untouched in both cases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous caller panicked while holding the
-    /// internal lock.
-    pub fn generate_keystream_partial(
-        &self,
-        partial: &PartialBitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, BoardError> {
-        let inits = {
-            let mut guard = self.pr_base.lock().expect("pr base lock");
-            let base = guard.as_mut().ok_or(BoardError::NoPartialBase)?;
-            self.fpga
-                .apply_partial_base(&mut base.frames, &mut base.inits, partial)
-                .map_err(BoardError::PartialApply)?;
-            base.inits.clone()
-        };
-        Ok(self.collect_keystream(inits, words))
-    }
-
-    /// Batched partial oracle: applies each frame-delta to the image
-    /// left by the previous lane (serial-chain semantics — lane `i`'s
-    /// delta is against the post-lane-`i−1` image), then gang-runs the
-    /// per-lane configurations. Per-item results are positionally
-    /// aligned with the input; each lane is bit-identical to a serial
-    /// [`Self::generate_keystream_partial`] call.
-    ///
-    /// A refused lane poisons the chain: the device image no longer
-    /// matches what later deltas assume, so they — and the base — are
-    /// dropped, and the next load must be full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous caller panicked while holding the
-    /// internal lock.
-    #[must_use]
-    pub fn generate_keystream_partial_batch(
-        &self,
-        partials: &[PartialBitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, BoardError>> {
-        let mut guard = self.pr_base.lock().expect("pr base lock");
-        let Some(mut base) = guard.take() else {
-            return partials.iter().map(|_| Err(BoardError::NoPartialBase)).collect();
-        };
-        let mut out: Vec<Result<Vec<u32>, BoardError>> = Vec::with_capacity(partials.len());
-        let mut live: Vec<(usize, Vec<DualOutputInit>)> = Vec::new();
-        let mut poisoned = false;
-        for (i, partial) in partials.iter().enumerate() {
-            if poisoned {
-                out.push(Err(BoardError::NoPartialBase));
-                continue;
-            }
-            match self.fpga.apply_partial_base(&mut base.frames, &mut base.inits, partial) {
-                Ok(_) => {
-                    live.push((i, base.inits.clone()));
-                    out.push(Ok(Vec::with_capacity(words)));
-                }
-                Err(e) => {
-                    poisoned = true;
-                    out.push(Err(BoardError::PartialApply(e)));
-                }
-            }
-        }
-        if !poisoned {
-            *guard = Some(base);
-        }
-        drop(guard);
-        for chunk in live.chunks(crate::gang::GANG_LANES) {
-            let lanes: Vec<Vec<DualOutputInit>> =
-                chunk.iter().map(|(_, inits)| inits.clone()).collect();
-            let mut gang = crate::gang::GangConfiguredFpga::with_inits(&self.fpga, &lanes);
-            gang.set_input(self.run_net, u64::MAX);
-            gang.run(WARMUP_CYCLES);
-            for _ in 0..words {
-                gang.step();
-                for (lane, (slot, _)) in chunk.iter().enumerate() {
-                    let z = gang.word(lane, &self.z_nets);
-                    if let Ok(zs) = &mut out[*slot] {
-                        zs.push(z);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Batched oracle: loads every bitstream and collects `words`
-    /// keystream words from each, packing up to
-    /// [`GANG_LANES`](crate::GANG_LANES) candidates per gang
-    /// simulation. Per-item results are positionally aligned with the
-    /// input; a lane whose bitstream is refused gets its own error
-    /// while the remaining lanes still run.
-    ///
-    /// Each lane is bit-identical to a serial
-    /// [`generate_keystream`](Self::generate_keystream) call with the
-    /// same bitstream — the board farm substitution the batched
-    /// attack pipeline rests on (DESIGN.md §12).
-    #[must_use]
-    pub fn keystream_batch(
-        &self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, BoardError>> {
-        // The batch's differential decode never materialises frame
-        // images, so the final on-device image is unobserved: drop the
-        // partial-reconfiguration base — the next partial caller must
-        // re-establish it with a full load.
-        *self.pr_base.lock().expect("pr base lock") = None;
-        // Differential decode of the whole batch (one full walk, then
-        // payload deltas), then dense-pack the accepted lanes into
-        // gangs so a refused lane does not waste a slot.
-        let mut out: Vec<Result<Vec<u32>, BoardError>> = Vec::with_capacity(bitstreams.len());
-        let mut live: Vec<(usize, Vec<boolfn::DualOutputInit>)> = Vec::new();
-        for (i, decoded) in self.fpga.decode_lut_inits_batch(bitstreams).into_iter().enumerate() {
-            match decoded {
-                Ok(inits) => {
-                    live.push((i, inits));
-                    out.push(Ok(Vec::with_capacity(words)));
-                }
-                Err(e) => out.push(Err(BoardError::Program(e))),
-            }
-        }
-        for chunk in live.chunks(crate::gang::GANG_LANES) {
-            let lanes: Vec<Vec<boolfn::DualOutputInit>> =
-                chunk.iter().map(|(_, inits)| inits.clone()).collect();
-            let mut gang = crate::gang::GangConfiguredFpga::with_inits(&self.fpga, &lanes);
-            gang.set_input(self.run_net, u64::MAX);
-            gang.run(WARMUP_CYCLES);
-            for _ in 0..words {
-                gang.step();
-                for (lane, (slot, _)) in chunk.iter().enumerate() {
-                    let z = gang.word(lane, &self.z_nets);
-                    if let Ok(zs) = &mut out[*slot] {
-                        zs.push(z);
-                    }
-                }
-            }
         }
         out
     }
@@ -376,10 +313,15 @@ mod tests {
         Snow3gBoard::build(config, &ImplementOptions::default()).expect("board builds")
     }
 
+    /// One load issued alone, as the serial oracle issues it.
+    fn one(b: &Snow3gBoard, load: Load<'_>, words: usize) -> Result<Vec<u32>, BoardError> {
+        b.load(&[load], words).pop().expect("one lane")
+    }
+
     #[test]
     fn golden_bitstream_generates_correct_keystream() {
         let b = board(false);
-        let z = b.generate_keystream(&b.extract_bitstream(), 4).expect("runs");
+        let z = one(&b, Load::Full(&b.extract_bitstream()), 4).expect("runs");
         let sw = Snow3g::new(TEST_SET_1_KEY, TEST_SET_1_IV).keystream(4);
         assert_eq!(z, sw, "the board is a faithful SNOW 3G device");
         assert!(b.valid_after_warmup(&b.extract_bitstream()).unwrap());
@@ -388,7 +330,7 @@ mod tests {
     #[test]
     fn protected_board_same_function() {
         let b = board(true);
-        let z = b.generate_keystream(&b.extract_bitstream(), 2).expect("runs");
+        let z = one(&b, Load::Full(&b.extract_bitstream()), 2).expect("runs");
         assert_eq!(z, vec![0xABEE9704, 0x7AC31373]);
     }
 
@@ -399,11 +341,11 @@ mod tests {
         let range = bs.fdri_data_range().unwrap();
         bs.as_mut_bytes()[range.start + 2048] ^= 0x01;
         assert!(matches!(
-            b.generate_keystream(&bs, 1),
+            one(&b, Load::Full(&bs), 1),
             Err(BoardError::Program(ProgramError::Bitstream(_)))
         ));
         bs.disable_crc();
-        assert!(b.generate_keystream(&bs, 1).is_ok());
+        assert!(one(&b, Load::Full(&bs), 1).is_ok());
     }
 
     #[test]
@@ -433,7 +375,7 @@ mod tests {
         let data = &mut bs.as_mut_bytes()[range];
         bitstream::codec::write_lut(data, loc, boolfn::DualOutputInit::new(0));
         bs.recompute_crc();
-        let z = b.generate_keystream(&bs, 8).expect("runs");
+        let z = one(&b, Load::Full(&bs), 8).expect("runs");
         assert!(z.iter().all(|w| w & 1 == 0), "bit 0 stuck at 0: {z:08x?}");
         // Other bits unaffected.
         let sw = Snow3g::new(TEST_SET_1_KEY, TEST_SET_1_IV).keystream(8);
@@ -468,28 +410,37 @@ mod tests {
         let mut refused = golden.clone();
         let r = refused.fdri_data_range().unwrap();
         refused.as_mut_bytes()[r.start + 64] ^= 0x02;
-        let batch = vec![golden.clone(), faulted.clone(), refused.clone(), golden.clone()];
-        let batched = b.keystream_batch(&batch, 6);
-        for (i, bs) in batch.iter().enumerate() {
-            match (&batched[i], b.generate_keystream(bs, 6)) {
+        let batch = [&golden, &faulted, &refused, &golden].map(Load::Full);
+        let batched = b.load(&batch, 6);
+        for (i, &lane) in batch.iter().enumerate() {
+            match (&batched[i], one(&b, lane, 6)) {
                 (Ok(got), Ok(want)) => assert_eq!(got, &want, "lane {i}"),
                 (Err(_), Err(_)) => {}
                 (got, want) => panic!("lane {i}: batched {got:?} vs serial {want:?}"),
             }
         }
+        // Several full lanes decode differentially and leave no frame
+        // image behind: a partial load right after them has no base.
+        let _ = b.load(&batch, 1);
+        let delta = bitstream::PartialForge::new(&golden)
+            .expect("analyzes")
+            .delta(&golden, &faulted)
+            .expect("expressible");
+        assert!(matches!(one(&b, Load::Partial(&delta.stream), 1), Err(BoardError::NoPartialBase)));
     }
 
     #[test]
     fn partial_load_equals_full_load_of_the_candidate() {
         let b = board(false);
         let golden = b.extract_bitstream();
-        assert!(!b.has_partial_base());
-        assert!(matches!(
-            b.generate_keystream_partial(&bitstream::PartialBitstream::from_bytes(vec![0; 64]), 1),
-            Err(BoardError::NoPartialBase)
-        ));
-        let full_golden = b.generate_keystream(&golden, 6).expect("full load");
-        assert!(b.has_partial_base());
+        assert!(
+            matches!(
+                one(&b, Load::Partial(&PartialBitstream::from_bytes(vec![0; 64])), 1),
+                Err(BoardError::NoPartialBase)
+            ),
+            "no base before the first full load"
+        );
+        let full_golden = one(&b, Load::Full(&golden), 6).expect("full load");
 
         // Forge a delta for a one-LUT edit and ship it partially.
         let mut forge = bitstream::PartialForge::new(&golden).expect("analyzes");
@@ -515,27 +466,46 @@ mod tests {
         let delta = forge.delta(&golden, &cand).expect("expressible");
         assert!(delta.stream.len() < golden.len() / 10, "delta ships a fraction of the bytes");
 
-        let via_partial = b.generate_keystream_partial(&delta.stream, 6).expect("applies");
-        let via_full = b.generate_keystream(&cand, 6).expect("full load");
+        let via_partial = one(&b, Load::Partial(&delta.stream), 6).expect("applies");
+        let via_full = one(&b, Load::Full(&cand), 6).expect("full load");
         assert_eq!(via_partial, via_full, "partial load behaves as the full candidate load");
 
         // Roll back to golden with a second delta (the image now holds
-        // the candidate) and check the batch path too.
+        // the candidate) and check the multi-lane path too.
         let back = forge.delta(&cand, &golden).expect("rollback delta");
         let again = forge.delta(&golden, &cand).expect("re-edit delta");
-        let batched = b.generate_keystream_partial_batch(&[back.stream, again.stream.clone()], 6);
+        let batched = b.load(&[Load::Partial(&back.stream), Load::Partial(&again.stream)], 6);
         assert_eq!(batched[0].as_ref().expect("rollback lane"), &full_golden);
         assert_eq!(batched[1].as_ref().expect("edit lane"), &via_full);
 
+        // A mixed slice equals the same loads issued one at a time,
+        // lane by lane: the full lane latches the base the partial
+        // lanes chain on.
+        let mixed =
+            [Load::Full(&golden), Load::Partial(&delta.stream), Load::Partial(&back.stream)];
+        let together: Vec<_> =
+            b.load(&mixed, 6).into_iter().map(|r| r.map_err(|e| e.to_string())).collect();
+        let alone: Vec<_> =
+            mixed.iter().map(|&lane| one(&b, lane, 6).map_err(|e| e.to_string())).collect();
+        assert_eq!(together, alone, "one slice equals the loads issued one at a time");
+        assert_eq!(together, [&full_golden, &via_full, &full_golden].map(|z| Ok(z.clone())));
+
         // A garbled delta poisons the chain: its lane and all later
-        // lanes fail, and the base is dropped.
-        let poisoned = b.generate_keystream_partial_batch(
-            &[bitstream::PartialBitstream::from_bytes(vec![0xAA; 96]), again.stream.clone()],
+        // lanes fail, and the base is dropped, so the next load must
+        // be full.
+        let poisoned = b.load(
+            &[
+                Load::Partial(&PartialBitstream::from_bytes(vec![0xAA; 96])),
+                Load::Partial(&again.stream),
+            ],
             2,
         );
         assert!(matches!(poisoned[0], Err(BoardError::PartialApply(_))));
         assert!(matches!(poisoned[1], Err(BoardError::NoPartialBase)));
-        assert!(!b.has_partial_base(), "refusal mid-chain drops the base");
+        assert!(
+            matches!(one(&b, Load::Partial(&again.stream), 2), Err(BoardError::NoPartialBase)),
+            "refusal mid-chain drops the base"
+        );
     }
 
     #[test]

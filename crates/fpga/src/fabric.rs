@@ -159,7 +159,7 @@ impl From<ParseBitstreamError> for ProgramError {
     }
 }
 
-/// An error from [`ConfiguredFpga::apply_partial`]. All variants are
+/// An error from [`Fpga::apply_partial_base`]. All variants are
 /// permanent refusals of the stream (the partial-reconfiguration
 /// analogue of the CRC/size/IDCODE refusals of a full load); the
 /// device image is untouched when any of them is returned.
@@ -410,12 +410,12 @@ impl Fpga {
     #[must_use]
     pub fn decode_lut_inits_batch(
         &self,
-        bitstreams: &[Bitstream],
+        bitstreams: &[&Bitstream],
     ) -> Vec<Result<Vec<DualOutputInit>, ProgramError>> {
         let mut reference: Option<RefDecode> = None;
         bitstreams
             .iter()
-            .map(|bs| {
+            .map(|&bs| {
                 if let Some(r) = &reference {
                     if let Some(result) = self.decode_against(r, bs) {
                         return result;
@@ -743,41 +743,6 @@ impl ConfiguredFpga<'_> {
         for _ in 0..n {
             self.step();
         }
-    }
-
-    /// Partial reconfiguration: applies a frame-delta stream to this
-    /// configured device in O(touched frames) — `frames` is the
-    /// device's configuration-memory image (as retained by
-    /// [`Fpga::decode_with_frames`]); runs are written into it
-    /// absolutely, only the LUTs whose bytes lie in a touched frame
-    /// are re-decoded, and the `Start` command pulses global
-    /// set/reset: every FF returns to its power-up value and the
-    /// cycle counter restarts, exactly as a full reload would leave
-    /// the device. Refusal is atomic — neither `frames` nor the
-    /// loaded INITs change.
-    ///
-    /// # Errors
-    ///
-    /// See [`PartialApplyError`].
-    pub fn apply_partial(
-        &mut self,
-        partial: &PartialBitstream,
-        frames: &mut FrameData,
-    ) -> Result<usize, PartialApplyError> {
-        let written = self.fpga.apply_partial_base(frames, &mut self.inits, partial)?;
-        for v in &mut self.values {
-            *v = false;
-        }
-        for ff in &self.fpga.db.ffs {
-            self.values[ff.q.index()] = ff.init;
-        }
-        for &(net, v) in &self.fpga.db.ties {
-            self.values[net.index()] = v;
-        }
-        self.latch.fill(false);
-        self.clean = false;
-        self.cycle = 0;
-        Ok(written)
     }
 
     /// Configuration readback (the `FDRO` path of real devices):

@@ -7,7 +7,7 @@
 //! binary mux-tree reduction over pre-decoded per-lane truth-table
 //! bit-planes, flip-flop latching is a word copy, and one [`step`]
 //! advances all lanes at once — the throughput primitive behind
-//! batched oracle queries (`Snow3gBoard::keystream_batch`).
+//! batched oracle queries (`Snow3gBoard::load` over several lanes).
 //!
 //! Lane *i* is bit-identical to the scalar [`ConfiguredFpga`]
 //! programmed with the same bitstream: the bit-planes are built by

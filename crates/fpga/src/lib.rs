@@ -34,7 +34,7 @@ pub mod implementer;
 pub mod sealed;
 pub mod unreliable;
 
-pub use board::{BoardError, Snow3gBoard};
+pub use board::{BoardError, Load, Snow3gBoard};
 pub use fabric::{ConfiguredFpga, Fpga, PartialApplyError, ProgramError};
 pub use gang::{GangConfiguredFpga, GANG_LANES};
 pub use geom::{Geometry, InitLayout, SiteId};

@@ -13,7 +13,7 @@ use core::fmt;
 
 use bitstream::{Bitstream, OpenSecureError, SecureBitstream};
 
-use crate::board::{BoardError, Snow3gBoard};
+use crate::board::{BoardError, Load, Snow3gBoard};
 
 /// An error from a sealed-container load.
 #[derive(Debug)]
@@ -97,29 +97,8 @@ impl SealedBoard {
         words: usize,
     ) -> Result<Vec<u32>, SealedLoadError> {
         let opened = sealed.open(&self.k_enc).map_err(SealedLoadError::Container)?;
-        self.inner.generate_keystream(&opened.bitstream, words).map_err(SealedLoadError::Board)
-    }
-
-    /// Partial reconfiguration through the encrypted port: the device
-    /// decrypts and authenticates the container exactly as for a full
-    /// load, then hands the body to the partial-reconfiguration
-    /// engine — the Starbleed-setting analogue of
-    /// [`Snow3gBoard::generate_keystream_partial`].
-    ///
-    /// # Errors
-    ///
-    /// [`SealedLoadError::Container`] if the container fails any
-    /// check; [`SealedLoadError::Board`] if the decrypted partial
-    /// stream is refused (or no full load established a base).
-    pub fn load_sealed_partial(
-        &self,
-        sealed: &SecureBitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, SealedLoadError> {
-        let opened = sealed.open(&self.k_enc).map_err(SealedLoadError::Container)?;
-        let partial =
-            bitstream::partial::PartialBitstream::from_bytes(opened.bitstream.into_bytes());
-        self.inner.generate_keystream_partial(&partial, words).map_err(SealedLoadError::Board)
+        let mut lanes = self.inner.load(&[Load::Full(&opened.bitstream)], words);
+        lanes.pop().expect("one lane").map_err(SealedLoadError::Board)
     }
 
     /// Device-accurate open without running the fabric: what bitstream

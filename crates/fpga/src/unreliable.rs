@@ -34,7 +34,7 @@ use rand::{counter_rng, Rng, RngCore};
 
 use bitstream::Bitstream;
 
-use crate::board::{BoardError, Snow3gBoard};
+use crate::board::{BoardError, Load, Snow3gBoard};
 use crate::fabric::{Fpga, ProgramError};
 
 /// Counter-stream tags: each fault-model concern draws from its own
@@ -685,120 +685,7 @@ impl UnreliableBoard {
     pub fn commit_plans(&self, plans: &[ReadPlan]) {
         let mut stats = self.stats.lock().expect("fault stats lock");
         for plan in plans {
-            debug_assert_eq!(plan.query, stats.loads_attempted, "plans commit in load order");
-            stats.loads_attempted += 1;
-            match &plan.outcome {
-                ReadOutcome::TransientLoad => stats.transient_failures += 1,
-                ReadOutcome::Timeout { .. } => stats.timeouts += 1,
-                ReadOutcome::Dead => {}
-                ReadOutcome::Read { truncated, glitch, .. } => {
-                    if *truncated {
-                        stats.truncated_reads += 1;
-                    }
-                    stats.bits_flipped +=
-                        glitch.iter().map(|m| u64::from(m.count_ones())).sum::<u64>();
-                }
-            }
-        }
-    }
-
-    /// Executes a committed plan's data path against the clean device
-    /// output: truncation, glitch masks, stuck bits.
-    ///
-    /// # Errors
-    ///
-    /// The typed fault the plan prescribes, or the ideal board's own
-    /// error for the underlying read.
-    pub fn apply_plan(
-        &self,
-        plan: &ReadPlan,
-        bitstream: &Bitstream,
-    ) -> Result<Vec<u32>, BoardError> {
-        match &plan.outcome {
-            ReadOutcome::TransientLoad => Err(BoardError::Program(ProgramError::TransientLoad)),
-            ReadOutcome::Timeout { ms } => {
-                Err(BoardError::Program(ProgramError::ConfigTimeout { ms: *ms }))
-            }
-            ReadOutcome::Dead => Err(BoardError::Program(ProgramError::BoardDead)),
-            ReadOutcome::Read { keep, glitch, .. } => {
-                let z = self.inner.generate_keystream(bitstream, *keep)?;
-                Ok(self.corrupt(z, glitch))
-            }
-        }
-    }
-
-    /// Applies a plan's glitch masks and the profile's stuck bits to
-    /// clean device words.
-    #[must_use]
-    pub fn corrupt(&self, mut z: Vec<u32>, glitch: &[u32]) -> Vec<u32> {
-        for (w, mask) in z.iter_mut().zip(glitch) {
-            *w ^= mask;
-        }
-        if self.profile.stuck_mask != 0 {
-            for w in &mut z {
-                *w &= !self.profile.stuck_mask;
-            }
-        }
-        z
-    }
-
-    /// Loads `bitstream` and collects up to `words` keystream words,
-    /// with faults injected: the load can transiently fail or time
-    /// out (or be rejected outright once the board dies), the read
-    /// can come back short, each returned bit can be flipped, and
-    /// stuck bits always read 0.
-    ///
-    /// # Errors
-    ///
-    /// [`ProgramError::TransientLoad`] / [`ProgramError::ConfigTimeout`]
-    /// / [`ProgramError::BoardDead`] (wrapped in
-    /// [`BoardError::Program`]) for injected faults, plus everything
-    /// the ideal board can return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous caller panicked while holding the
-    /// internal lock.
-    pub fn generate_keystream(
-        &self,
-        bitstream: &Bitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, BoardError> {
-        let plan = self.commit_next_plan(words);
-        self.apply_plan(&plan, bitstream)
-    }
-
-    /// Partial-reconfiguration oracle with the identical fault model:
-    /// a partial load is one physical load, so it draws the exact plan
-    /// the full load at the same load index would have drawn — the
-    /// fault trace of a run is unchanged by switching load modes.
-    ///
-    /// # Errors
-    ///
-    /// Injected faults as [`Self::generate_keystream`], plus
-    /// everything [`Snow3gBoard::generate_keystream_partial`] can
-    /// return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous caller panicked while holding the
-    /// internal lock.
-    pub fn generate_keystream_partial(
-        &self,
-        partial: &bitstream::partial::PartialBitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, BoardError> {
-        let plan = self.commit_next_plan(words);
-        match &plan.outcome {
-            ReadOutcome::TransientLoad => Err(BoardError::Program(ProgramError::TransientLoad)),
-            ReadOutcome::Timeout { ms } => {
-                Err(BoardError::Program(ProgramError::ConfigTimeout { ms: *ms }))
-            }
-            ReadOutcome::Dead => Err(BoardError::Program(ProgramError::BoardDead)),
-            ReadOutcome::Read { keep, glitch, .. } => {
-                let z = self.inner.generate_keystream_partial(partial, *keep)?;
-                Ok(self.corrupt(z, glitch))
-            }
+            commit(&mut stats, plan);
         }
     }
 
@@ -807,19 +694,79 @@ impl UnreliableBoard {
     fn commit_next_plan(&self, words: usize) -> ReadPlan {
         let mut stats = self.stats.lock().expect("fault stats lock");
         let plan = self.plan_at(stats.loads_attempted, words);
-        stats.loads_attempted += 1;
-        match &plan.outcome {
-            ReadOutcome::TransientLoad => stats.transient_failures += 1,
-            ReadOutcome::Timeout { .. } => stats.timeouts += 1,
-            ReadOutcome::Dead => {}
-            ReadOutcome::Read { truncated, glitch, .. } => {
-                if *truncated {
-                    stats.truncated_reads += 1;
-                }
-                stats.bits_flipped += glitch.iter().map(|m| u64::from(m.count_ones())).sum::<u64>();
-            }
-        }
+        commit(&mut stats, &plan);
         plan
+    }
+
+    /// Loads through the flaky link and collects up to `words`
+    /// keystream words, with faults injected: the load can
+    /// transiently fail or time out (or be rejected outright once the
+    /// board dies), the read can come back short, each returned bit
+    /// can be flipped, and stuck bits always read 0. Either port is
+    /// one physical load, so a partial load draws exactly the plan a
+    /// full load at the same load index would — a run's fault trace
+    /// does not depend on the load mode.
+    ///
+    /// # Errors
+    ///
+    /// [`ProgramError::TransientLoad`] / [`ProgramError::ConfigTimeout`]
+    /// / [`ProgramError::BoardDead`] (wrapped in
+    /// [`BoardError::Program`]) for injected faults, plus everything
+    /// [`Snow3gBoard::load`] can return.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a previous caller panicked while holding the
+    /// internal lock.
+    pub fn load(&self, load: Load<'_>, words: usize) -> Result<Vec<u32>, BoardError> {
+        let plan = self.commit_next_plan(words);
+        self.resolve(&plan, |keep| self.inner.load(&[load], keep).pop().expect("one lane"))
+    }
+
+    /// Turns a plan's outcome into the read it prescribes. An injected
+    /// fault becomes its typed error and touches no device; a read
+    /// asks `read` for the plan's `keep` words, truncates what comes
+    /// back to `keep` and applies the glitch masks and stuck bits.
+    /// [`Self::load`] reads the device here; batched planned execution
+    /// passes the clean data it already read.
+    ///
+    /// # Errors
+    ///
+    /// The injected fault, or whatever `read` returns.
+    pub fn resolve<E: From<BoardError>>(
+        &self,
+        plan: &ReadPlan,
+        read: impl FnOnce(usize) -> Result<Vec<u32>, E>,
+    ) -> Result<Vec<u32>, E> {
+        let fault = match &plan.outcome {
+            ReadOutcome::TransientLoad => ProgramError::TransientLoad,
+            ReadOutcome::Timeout { ms } => ProgramError::ConfigTimeout { ms: *ms },
+            ReadOutcome::Dead => ProgramError::BoardDead,
+            ReadOutcome::Read { keep, glitch, .. } => {
+                let mut z = read(*keep)?;
+                z.truncate(*keep);
+                for (w, mask) in z.iter_mut().zip(glitch) {
+                    *w = (*w ^ mask) & !self.profile.stuck_mask;
+                }
+                return Ok(z);
+            }
+        };
+        Err(BoardError::Program(fault).into())
+    }
+}
+
+/// Applies one plan's stats delta.
+fn commit(stats: &mut FaultStats, plan: &ReadPlan) {
+    debug_assert_eq!(plan.query, stats.loads_attempted, "plans commit in load order");
+    stats.loads_attempted += 1;
+    match &plan.outcome {
+        ReadOutcome::TransientLoad => stats.transient_failures += 1,
+        ReadOutcome::Timeout { .. } => stats.timeouts += 1,
+        ReadOutcome::Dead => {}
+        ReadOutcome::Read { truncated, .. } => {
+            stats.truncated_reads += u64::from(*truncated);
+            stats.bits_flipped += plan.injected_bits();
+        }
     }
 }
 
@@ -852,8 +799,13 @@ mod tests {
     fn clean_profile_is_transparent() {
         let b = board(FaultProfile::clean(1));
         let golden = b.extract_bitstream();
-        let z = b.generate_keystream(&golden, 4).expect("clean board runs");
-        let reference = b.inner().generate_keystream(&golden, 4).expect("ideal board runs");
+        let z = b.load(Load::Full(&golden), 4).expect("clean board runs");
+        let reference = b
+            .inner()
+            .load(&[Load::Full(&golden)], 4)
+            .pop()
+            .expect("one lane")
+            .expect("ideal board runs");
         assert_eq!(z, reference);
         assert_eq!(b.fault_stats().bits_flipped, 0);
         assert_eq!(b.fault_stats().transient_failures, 0);
@@ -865,7 +817,7 @@ mod tests {
             let b = board(FaultProfile::bursty(seed).with_drift(0.001));
             let golden = b.extract_bitstream();
             let outs = (0..12)
-                .map(|_| b.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
+                .map(|_| b.load(Load::Full(&golden), 4).map_err(|e| e.to_string()))
                 .collect();
             (outs, b.fault_stats())
         };
@@ -884,7 +836,7 @@ mod tests {
         let failures = (0..40)
             .filter(|_| {
                 matches!(
-                    b.generate_keystream(&golden, 1),
+                    b.load(Load::Full(&golden), 1),
                     Err(BoardError::Program(ProgramError::TransientLoad))
                 )
             })
@@ -901,7 +853,7 @@ mod tests {
         let golden = b.extract_bitstream();
         let mut short = 0usize;
         for _ in 0..10 {
-            let z = b.generate_keystream(&golden, 4).expect("no load faults configured");
+            let z = b.load(Load::Full(&golden), 4).expect("no load faults configured");
             if z.len() < 4 {
                 short += 1;
             }
@@ -920,15 +872,15 @@ mod tests {
         let calm = board(FaultProfile::clean(5));
         let golden = stormy.extract_bitstream();
         for _ in 0..6 {
-            let _ = stormy.generate_keystream(&golden, 4);
-            let _ = calm.generate_keystream(&golden, 4);
+            let _ = stormy.load(Load::Full(&golden), 4);
+            let _ = calm.load(Load::Full(&golden), 4);
         }
         assert!(stormy.fault_stats().bits_flipped > 50, "bad state glitches heavily");
         assert_eq!(calm.fault_stats().bits_flipped, 0, "good-state rate still applies");
         // The chain itself is deterministic in the seed.
         let again = board(FaultProfile::clean(5).with_burst(1.0, 0.0, 0.5));
         for _ in 0..6 {
-            let _ = again.generate_keystream(&golden, 4);
+            let _ = again.load(Load::Full(&golden), 4);
         }
         assert_eq!(again.fault_stats(), stormy.fault_stats());
     }
@@ -940,7 +892,7 @@ mod tests {
         // the first.
         let b = board(FaultProfile::clean(11).with_load_failure(0.01).with_drift(0.1));
         let golden = b.extract_bitstream();
-        let fails = |n: usize| (0..n).filter(|_| b.generate_keystream(&golden, 1).is_err()).count();
+        let fails = |n: usize| (0..n).filter(|_| b.load(Load::Full(&golden), 1).is_err()).count();
         let early = fails(100);
         let late = fails(100);
         assert!(late > early, "drift must raise the failure rate ({early} → {late})");
@@ -951,9 +903,10 @@ mod tests {
         let mask = 0x8000_0001;
         let b = board(FaultProfile::clean(2).with_stuck_mask(mask));
         let golden = b.extract_bitstream();
-        let z = b.generate_keystream(&golden, 8).expect("clean otherwise");
+        let z = b.load(Load::Full(&golden), 8).expect("clean otherwise");
         assert!(z.iter().all(|w| w & mask == 0), "stuck bits never read 1");
-        let reference = b.inner().generate_keystream(&golden, 8).expect("ideal");
+        let reference =
+            b.inner().load(&[Load::Full(&golden)], 8).pop().expect("one lane").expect("ideal");
         assert!(reference.iter().any(|w| w & mask != 0), "the true keystream uses those bits");
     }
 
@@ -963,11 +916,11 @@ mod tests {
         let golden = b.extract_bitstream();
         assert!(!b.is_dead());
         for _ in 0..3 {
-            b.generate_keystream(&golden, 2).expect("alive before the death point");
+            b.load(Load::Full(&golden), 2).expect("alive before the death point");
         }
         assert!(b.is_dead(), "death point reached");
         for _ in 0..2 {
-            let err = b.generate_keystream(&golden, 2).expect_err("dead board rejects");
+            let err = b.load(Load::Full(&golden), 2).expect_err("dead board rejects");
             assert!(matches!(err, BoardError::Program(ProgramError::BoardDead)));
         }
         assert!(!ProgramError::BoardDead.is_transient(), "death is not retryable");
@@ -976,31 +929,90 @@ mod tests {
 
     #[test]
     fn plans_are_pure_and_commit_matches_serial_execution() {
-        // Planning N reads ahead, then committing them, leaves the
-        // board in the identical state a serial run reaches — and the
-        // planned outcomes equal what the serial run observed.
-        let planner = board(FaultProfile::bursty(13));
-        let serial = board(FaultProfile::bursty(13));
+        // Planning reads ahead, reading the clean device, resolving
+        // each plan against that data and committing the plans leaves
+        // the board in the identical state a serial run reaches, with
+        // identical results — for every outcome kind, on both ports.
+        const READS: u64 = 24;
+        const WORDS: usize = 4;
+        let profile = FaultProfile::clean(4)
+            .with_load_failure(0.2)
+            .with_timeout(0.2)
+            .with_truncate(0.3)
+            .with_bit_glitch(0.01)
+            .with_burst(0.05, 0.30, 0.12)
+            .with_stuck_mask(0x0000_8000)
+            .with_dies_at(20);
+        let planner = board(profile);
+        let serial = board(profile);
         let golden = planner.extract_bitstream();
-        let plans: Vec<ReadPlan> = (0..10).map(|i| planner.plan_read(i, 4)).collect();
-        let replanned: Vec<ReadPlan> = (0..10).rev().map(|i| planner.plan_read(i, 4)).collect();
+        let mut cand = golden.clone();
+        let range = cand.fdri_data_range().expect("payload");
+        cand.as_mut_bytes()[range.start + 512] ^= 0x40;
+        cand.recompute_crc();
+        let delta = bitstream::PartialForge::new(&golden)
+            .expect("analyzes")
+            .delta(&golden, &cand)
+            .expect("expressible");
+        // Even reads use the full port, odd reads the partial port.
+        // Both boards start from a latched base outside the fault
+        // model, so a faulted full load cannot leave either without
+        // one.
+        let lane = |i: u64| {
+            if i.is_multiple_of(2) {
+                Load::Full(&golden)
+            } else {
+                Load::Partial(&delta.stream)
+            }
+        };
+        for b in [&planner, &serial] {
+            b.inner().load(&[Load::Full(&golden)], 1).pop().expect("one lane").expect("base");
+        }
+
+        let plans: Vec<ReadPlan> = (0..READS).map(|i| planner.plan_read(i, WORDS)).collect();
+        let replanned: Vec<ReadPlan> =
+            (0..READS).rev().map(|i| planner.plan_read(i, WORDS)).collect();
         assert_eq!(
             plans,
             replanned.into_iter().rev().collect::<Vec<_>>(),
             "plans are pure: evaluation order does not matter"
         );
         assert_eq!(planner.fault_stats(), FaultStats::default(), "planning commits nothing");
+        let burst_read = |bad: bool| {
+            plans.iter().any(|p| {
+                matches!(&p.outcome, ReadOutcome::Read { keep, .. } if *keep > 0)
+                    && planner.burst_bad_at(p.query) == bad
+            })
+        };
+        assert!(burst_read(true) && burst_read(false), "reads in both burst-chain states");
+        let occurs = |kind: fn(&ReadOutcome) -> bool| plans.iter().any(|p| kind(&p.outcome));
+        assert!(occurs(|o| matches!(o, ReadOutcome::TransientLoad)), "a transient load");
+        assert!(occurs(|o| matches!(o, ReadOutcome::Timeout { .. })), "a timeout");
+        assert!(occurs(|o| matches!(o, ReadOutcome::Dead)), "a dead board");
+        assert!(occurs(|o| matches!(o, ReadOutcome::Read { truncated: true, .. })), "a short read");
+        assert!(
+            occurs(
+                |o| matches!(o, ReadOutcome::Read { glitch, .. } if glitch.iter().any(|&m| m != 0))
+            ),
+            "a glitched read"
+        );
 
-        let serial_out: Vec<_> = (0..10)
-            .map(|_| serial.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
-            .collect();
+        let serial_out: Vec<_> =
+            (0..READS).map(|i| serial.load(lane(i), WORDS).map_err(|e| e.to_string())).collect();
         let planned_out: Vec<_> = plans
             .iter()
-            .map(|p| planner.apply_plan(p, &golden).map_err(|e| e.to_string()))
+            .zip(0..READS)
+            .map(|(plan, i)| {
+                let clean = planner.inner().load(&[lane(i)], WORDS).pop().expect("one lane");
+                planner.resolve(plan, |_| clean).map_err(|e| e.to_string())
+            })
             .collect();
         planner.commit_plans(&plans);
         assert_eq!(planned_out, serial_out, "planned data path equals serial execution");
         assert_eq!(planner.fault_stats(), serial.fault_stats(), "committed stats line up");
+        let reads: Vec<&Vec<u32>> = serial_out.iter().flatten().collect();
+        assert!(reads.iter().any(|z| z.len() < WORDS), "a truncated read came back short");
+        assert!(reads.iter().all(|z| z.iter().all(|w| w & 0x0000_8000 == 0)), "stuck bit reads 0");
     }
 
     #[test]
@@ -1009,21 +1021,21 @@ mod tests {
         let reference = board(FaultProfile::bursty(9));
         let golden = reference.extract_bitstream();
         let full: Vec<_> = (0..20)
-            .map(|_| reference.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
+            .map(|_| reference.load(Load::Full(&golden), 4).map_err(|e| e.to_string()))
             .collect();
 
         // Interrupted run: 8 reads, snapshot, "crash", restore onto a
         // fresh board, 12 more reads.
         let first = board(FaultProfile::bursty(9));
         for _ in 0..8 {
-            let _ = first.generate_keystream(&golden, 4);
+            let _ = first.load(Load::Full(&golden), 4);
         }
         let snap = first.snapshot();
         drop(first);
         let resumed = board(FaultProfile::bursty(9));
         resumed.restore(&snap).expect("matching profile restores");
         let tail: Vec<_> = (0..12)
-            .map(|_| resumed.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
+            .map(|_| resumed.load(Load::Full(&golden), 4).map_err(|e| e.to_string()))
             .collect();
         assert_eq!(tail, full[8..], "restored board continues the identical trace");
         assert_eq!(resumed.fault_stats(), reference.fault_stats(), "counters line up too");
@@ -1037,12 +1049,12 @@ mod tests {
         let reference = board(FaultProfile::flaky(21));
         let golden = reference.extract_bitstream();
         let full: Vec<_> = (0..16)
-            .map(|_| reference.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
+            .map(|_| reference.load(Load::Full(&golden), 4).map_err(|e| e.to_string()))
             .collect();
 
         let dying = board(FaultProfile::flaky(21).with_dies_at(6));
         for _ in 0..6 {
-            let _ = dying.generate_keystream(&golden, 4);
+            let _ = dying.load(Load::Full(&golden), 4);
         }
         assert!(dying.is_dead());
         let snap = dying.snapshot();
@@ -1053,7 +1065,7 @@ mod tests {
         let resumed_stats = healthy.fault_stats();
         assert_eq!(resumed_stats.loads_attempted, 6);
         let tail: Vec<_> = (0..10)
-            .map(|_| healthy.generate_keystream(&golden, 4).map_err(|e| e.to_string()))
+            .map(|_| healthy.load(Load::Full(&golden), 4).map_err(|e| e.to_string()))
             .collect();
         assert_eq!(tail, full[6..], "migrated session continues the ambient trace");
     }
@@ -1070,7 +1082,7 @@ mod tests {
             let first = board(FaultProfile::flaky(21).with_dies_at(6));
             golden = first.extract_bitstream();
             for _ in 0..6 {
-                let _ = first.generate_keystream(&golden, 4);
+                let _ = first.load(Load::Full(&golden), 4);
             }
             assert!(first.is_dead());
             first.snapshot()
@@ -1083,14 +1095,14 @@ mod tests {
         assert_eq!(successor.local_stats(), FaultStats::default());
         assert_eq!(successor.fault_stats().loads_attempted, 6);
         for i in 0..6 {
-            let result = successor.generate_keystream(&golden, 4);
+            let result = successor.load(Load::Full(&golden), 4);
             assert!(
                 !matches!(&result, Err(BoardError::Program(ProgramError::BoardDead))),
                 "local load {i} is within the fuse"
             );
         }
         assert!(successor.is_dead(), "six local loads burn the successor's own fuse");
-        let err = successor.generate_keystream(&golden, 4).expect_err("dead");
+        let err = successor.load(Load::Full(&golden), 4).expect_err("dead");
         assert!(matches!(err, BoardError::Program(ProgramError::BoardDead)));
         assert_eq!(successor.local_stats().loads_attempted, 7, "dead attempts count as wear");
         assert_eq!(successor.fault_stats().loads_attempted, 13, "session position kept going");
@@ -1100,7 +1112,7 @@ mod tests {
     fn snapshot_bytes_roundtrip_and_reject_garbage() {
         let b = board(FaultProfile::bursty(3).with_bit_glitch(0.25).with_dies_at(1_000));
         let golden = b.extract_bitstream();
-        let _ = b.generate_keystream(&golden, 2);
+        let _ = b.load(Load::Full(&golden), 2);
         let snap = b.snapshot();
         let bytes = snap.to_bytes();
         assert_eq!(bytes.len(), FaultSnapshot::BYTES);

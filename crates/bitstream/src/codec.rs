@@ -62,16 +62,16 @@ impl LutLocation {
     /// Section VI-C).
     #[must_use]
     pub fn overlaps(&self, other: &LutLocation) -> bool {
-        let mine: Vec<usize> = self.byte_indices();
-        let theirs: Vec<usize> = other.byte_indices();
-        mine.iter().any(|b| theirs.contains(b))
+        let theirs = other.byte_indices();
+        self.byte_indices().iter().any(|b| theirs.contains(b))
     }
 
     /// The eight byte indices this location's sub-vectors occupy
-    /// (two bytes at each of the four strided offsets).
+    /// (two bytes at each of the four strided offsets, in storage
+    /// order).
     #[must_use]
-    pub fn byte_indices(&self) -> Vec<usize> {
-        (0..4).flat_map(|j| [self.l + j * self.d, self.l + j * self.d + 1]).collect()
+    pub fn byte_indices(&self) -> [usize; 8] {
+        core::array::from_fn(|k| self.l + k / 2 * self.d + k % 2)
     }
 }
 
@@ -197,6 +197,18 @@ mod tests {
         assert!(a.overlaps(&b), "adjacent bases share a byte");
         assert!(!a.overlaps(&c), "two-byte stride separates cleanly");
         assert!(a.overlaps(&a));
+    }
+
+    #[test]
+    fn byte_indices_are_the_bytes_write_lut_touches() {
+        for order in SubVectorOrder::both() {
+            let location = LutLocation { l: 37, d: 101, order };
+            assert_eq!(location.byte_indices(), [37, 38, 138, 139, 239, 240, 340, 341]);
+            let mut data = vec![0u8; 4 * FRAME_BYTES];
+            write_lut(&mut data, location, DualOutputInit::new(u64::MAX));
+            let written: Vec<usize> = (0..data.len()).filter(|&b| data[b] != 0).collect();
+            assert_eq!(written, location.byte_indices());
+        }
     }
 
     #[test]

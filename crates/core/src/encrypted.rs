@@ -223,6 +223,34 @@ impl<'a> EncryptedOracle<'a> {
             })
             .collect()
     }
+
+    /// Loads shipped partial lanes as one serial delta chain. The
+    /// lanes before the first refused container load as one batch; a
+    /// refused container breaks the chain for every later lane,
+    /// exactly as a refused partial stream would on the device.
+    fn load_chain(
+        &self,
+        shipped: Vec<Result<PartialBitstream, OracleError>>,
+        words: usize,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        let accepted = shipped.iter().take_while(|r| r.is_ok()).count();
+        let mut shipped = shipped.into_iter();
+        let opened: Vec<PartialBitstream> =
+            shipped.by_ref().take(accepted).filter_map(Result::ok).collect();
+        let mut out = if opened.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.keystream_partial_batch_clean(&opened, words)
+        };
+        out.extend(shipped.map(|r| {
+            r.and_then(|_| {
+                Err(OracleError::Rejected(
+                    "partial chain broken by an earlier refused container".into(),
+                ))
+            })
+        }));
+        out
+    }
 }
 
 impl KeystreamOracle for EncryptedOracle<'_> {
@@ -294,34 +322,7 @@ impl KeystreamOracle for EncryptedOracle<'_> {
         partials: &[PartialBitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        let shipped: Vec<Result<PartialBitstream, OracleError>> =
-            partials.iter().map(|p| self.ship_partial(p)).collect();
-        if shipped.iter().all(Result::is_ok) {
-            let opened: Vec<PartialBitstream> =
-                shipped.into_iter().filter_map(Result::ok).collect();
-            self.inner.keystream_partial_batch_clean(&opened, words)
-        } else {
-            // A refused container breaks the serial delta chain for
-            // every later lane, exactly as a refused partial stream
-            // would on the device.
-            let mut out = Vec::with_capacity(partials.len());
-            let mut broken = false;
-            for r in shipped {
-                match r {
-                    Ok(p) if !broken => out.extend(
-                        self.inner.keystream_partial_batch_clean(core::slice::from_ref(&p), words),
-                    ),
-                    Ok(_) => out.push(Err(OracleError::Rejected(
-                        "partial chain broken by an earlier refused container".into(),
-                    ))),
-                    Err(e) => {
-                        broken = true;
-                        out.push(Err(e));
-                    }
-                }
-            }
-            out
-        }
+        self.load_chain(partials.iter().map(|p| self.ship_partial(p)).collect(), words)
     }
 }
 
@@ -398,6 +399,77 @@ mod tests {
             batched[1]
         );
         assert!(batched[0].is_ok() && batched[2].is_ok(), "accepted lanes still load");
+    }
+
+    #[test]
+    fn a_refused_partial_container_breaks_the_chain_after_it() {
+        let b = board();
+        let golden = b.extract_bitstream();
+        let sealed = demo_seal(&golden);
+        let enc = EncryptedOracle::new(&b, PatchOracle::new(&sealed, &DEMO_K_ENC).expect("opens"));
+        let mut forge = bitstream::PartialForge::new(&golden).expect("forge");
+        let range = golden.fdri_data_range().expect("payload");
+        let mut image = golden.clone();
+        let mut partials = Vec::new();
+        for at in [64, 4096, 128] {
+            let mut next = image.clone();
+            next.as_mut_bytes()[range.start + at] ^= 0x08;
+            next.recompute_crc();
+            partials.push(forge.delta(&image, &next).expect("delta").stream);
+            image = next;
+        }
+        let serial_after_full = |lanes: &[PartialBitstream]| -> Vec<Vec<u32>> {
+            enc.keystream(&golden, 2).expect("full load");
+            lanes.iter().map(|p| enc.keystream_partial(p, 3).expect("serial delta")).collect()
+        };
+        let serial = serial_after_full(&partials);
+        enc.keystream(&golden, 2).expect("full load");
+        let batched = enc.keystream_partial_batch_clean(&partials, 3);
+        let batched: Vec<Vec<u32>> = batched.into_iter().map(|r| r.expect("lane ok")).collect();
+        assert_eq!(batched, serial, "an all-accepted batch is the serial chain");
+
+        // A freshly sealed container is refused only under a wrong K_A
+        // guess, which refuses every lane, so the refusal comes from
+        // a second oracle. Lanes 0 and 1 load; lane 2 carries the
+        // patch oracle's refusal; lane 3 ships but the chain is broken.
+        let guessed = EncryptedOracle::new(
+            &b,
+            PatchOracle::new(&sealed, &DEMO_K_ENC).expect("opens").with_mac_key([0x5A; 32]),
+        );
+        let refusal = guessed.ship_partial(&partials[2]).expect_err("wrong K_A is refused");
+        let shipped = vec![
+            enc.ship_partial(&partials[0]),
+            enc.ship_partial(&partials[1]),
+            Err(refusal.clone()),
+            enc.ship_partial(&partials[2]),
+        ];
+        enc.keystream(&golden, 2).expect("full load");
+        let out: Vec<_> =
+            enc.load_chain(shipped, 3).into_iter().map(|r| r.map_err(|e| e.to_string())).collect();
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[..2], serial[..2].iter().cloned().map(Ok).collect::<Vec<_>>()[..]);
+        assert_eq!(out[2], Err(refusal.to_string()));
+        assert!(refusal.to_string().contains("hmac verification failed"), "{refusal}");
+        assert!(
+            matches!(&out[3], Err(why) if why.contains("partial chain broken")),
+            "{:?}",
+            out[3]
+        );
+
+        // Through the trait, the wrong guess refuses every lane with
+        // its own refusal, as the serial loads do.
+        guessed.keystream(&golden, 2).expect("the unedited golden container opens");
+        let batched: Vec<_> = guessed
+            .keystream_partial_batch_clean(&partials, 3)
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+        let serial: Vec<_> = partials
+            .iter()
+            .map(|p| guessed.keystream_partial(p, 3).map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(batched, serial);
+        assert!(batched.iter().all(|r| matches!(r, Err(why) if why.contains("hmac"))));
     }
 
     #[test]

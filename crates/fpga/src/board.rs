@@ -96,7 +96,6 @@ pub struct Snow3gBoard {
     golden: Bitstream,
     run_net: NodeId,
     z_nets: Vec<NodeId>,
-    valid_net: NodeId,
     /// On-device configuration image partial lanes delta against (see
     /// [`Snow3gBoard::load`] for when it is latched and dropped).
     pr_base: Mutex<Option<PrBase>>,
@@ -138,7 +137,6 @@ impl Snow3gBoard {
             golden: bitstream,
             run_net: circuit.run,
             z_nets: circuit.z_out.clone(),
-            valid_net: circuit.valid,
             pr_base: Mutex::new(None),
             circuit,
             design,
@@ -287,19 +285,6 @@ impl Snow3gBoard {
         }
         out
     }
-
-    /// Whether the `valid` output is asserted after warm-up with the
-    /// given bitstream (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProgramError`].
-    pub fn valid_after_warmup(&self, bitstream: &Bitstream) -> Result<bool, BoardError> {
-        let mut dev = self.fpga.program(bitstream)?;
-        dev.set_input(self.run_net, true);
-        dev.run(WARMUP_CYCLES + 1);
-        Ok(dev.net(self.valid_net))
-    }
 }
 
 #[cfg(test)]
@@ -324,7 +309,6 @@ mod tests {
         let z = one(&b, Load::Full(&b.extract_bitstream()), 4).expect("runs");
         let sw = Snow3g::new(TEST_SET_1_KEY, TEST_SET_1_IV).keystream(4);
         assert_eq!(z, sw, "the board is a faithful SNOW 3G device");
-        assert!(b.valid_after_warmup(&b.extract_bitstream()).unwrap());
     }
 
     #[test]

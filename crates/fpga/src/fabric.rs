@@ -220,6 +220,9 @@ pub(crate) enum EvalStep {
     Bram(usize),
 }
 
+/// Marks a frame-space byte that no LUT cell stores (routing, slack).
+const NO_LUT: u32 = u32::MAX;
+
 /// A device: geometry plus the static routing database.
 #[derive(Debug, Clone)]
 pub struct Fpga {
@@ -227,6 +230,10 @@ pub struct Fpga {
     pub(crate) db: RoutingDb,
     pub(crate) order: Vec<EvalStep>,
     pub(crate) net_count: usize,
+    /// Frame-space byte → index of the LUT cell storing it, or
+    /// [`NO_LUT`]. A configuration step re-reads exactly the cells its
+    /// changed bytes map to.
+    byte_lut: Vec<u32>,
     idcode: u32,
 }
 
@@ -236,17 +243,38 @@ impl Fpga {
     ///
     /// # Panics
     ///
-    /// Panics if the database contains a combinational cycle or a
-    /// site outside the geometry.
+    /// Panics if the database contains a combinational cycle, a site
+    /// outside the geometry, or two LUT cells storing the same
+    /// configuration byte (real placements never overlap — the pruning
+    /// rule of Section VI-C).
     #[must_use]
     pub fn new(geometry: Geometry, db: RoutingDb) -> Self {
         geometry.assert_valid();
-        for lut in &db.luts {
-            let _ = geometry.lut_location(lut.site); // bounds check
+        let mut byte_lut = vec![NO_LUT; geometry.frame_count() * FRAME_BYTES];
+        for (i, lut) in db.luts.iter().enumerate() {
+            for b in geometry.lut_location(lut.site).byte_indices() {
+                let owner = &mut byte_lut[b];
+                assert!(*owner == NO_LUT, "LUT cells {owner} and {i} share configuration byte {b}");
+                *owner = u32::try_from(i).expect("LUT count fits u32");
+            }
         }
         let net_count = net_count(&db);
         let order = eval_order(&db);
-        Self { geometry, db, order, net_count, idcode: bitstream::image::DEFAULT_IDCODE }
+        Self { geometry, db, order, net_count, byte_lut, idcode: bitstream::image::DEFAULT_IDCODE }
+    }
+
+    /// The LUT cell storing frame-space byte `b`, if any.
+    fn lut_at(&self, b: usize) -> Option<usize> {
+        self.byte_lut.get(b).filter(|&&i| i != NO_LUT).map(|&i| i as usize)
+    }
+
+    /// Re-reads the INIT of every listed LUT cell from `frames`.
+    fn reread(&self, frames: &[u8], inits: &mut [DualOutputInit], mut luts: Vec<usize>) {
+        luts.sort_unstable();
+        luts.dedup();
+        for i in luts {
+            inits[i] = codec::read_lut(frames, self.geometry.lut_location(self.db.luts[i].site));
+        }
     }
 
     /// Overrides the device IDCODE (enforced during configuration).
@@ -351,8 +379,13 @@ impl Fpga {
     /// validates the stream in full first (the apply is atomic —
     /// refusal leaves `frames` and `inits` untouched), writes each
     /// frame run absolutely into `frames`, and re-reads only the LUTs
-    /// whose truth-table bytes lie in a touched frame. Returns the
-    /// number of frames written.
+    /// with a byte the runs actually changed. Returns the number of
+    /// frames written.
+    ///
+    /// `inits` must be the INITs `frames` decodes to (as
+    /// [`Fpga::decode_with_frames`] returns them): a LUT none of whose
+    /// bytes changed then keeps a correct INIT, so the result equals a
+    /// full decode of the new image.
     ///
     /// # Errors
     ///
@@ -377,23 +410,18 @@ impl Fpga {
                 });
             }
         }
+        let mut changed: Vec<usize> = Vec::new();
         for run in &cfg.runs {
             let at = run.start_frame * FRAME_BYTES;
-            let len = run.frames.as_bytes().len();
-            frames.as_mut_bytes()[at..at + len].copy_from_slice(run.frames.as_bytes());
+            let new = run.frames.as_bytes();
+            let old = &mut frames.as_mut_bytes()[at..at + new.len()];
+            for_each_diff(old, new, |pos| {
+                changed.extend(self.lut_at(at + pos));
+                true
+            });
+            old.copy_from_slice(new);
         }
-        let touched = |byte: usize| {
-            let f = byte / FRAME_BYTES;
-            cfg.runs
-                .iter()
-                .any(|r| f >= r.start_frame && f < r.start_frame + r.frames.frame_count())
-        };
-        for (i, cell) in self.db.luts.iter().enumerate() {
-            let loc = self.geometry.lut_location(cell.site);
-            if loc.byte_indices().iter().any(|&b| touched(b)) {
-                inits[i] = codec::read_lut(frames.as_bytes(), loc);
-            }
-        }
+        self.reread(frames.as_bytes(), inits, changed);
         Ok(cfg.frames_written())
     }
 
@@ -424,7 +452,7 @@ impl Fpga {
                 let full = self.decode_lut_inits(bs);
                 if reference.is_none() {
                     if let Ok(inits) = &full {
-                        reference = RefDecode::analyze(self, bs, inits.clone());
+                        reference = RefDecode::analyze(bs, inits.clone());
                     }
                 }
                 full
@@ -446,42 +474,21 @@ impl Fpga {
         }
         let crc_word = r.delta.crc_value_at()..r.delta.crc_value_at() + 4;
         let mut words: Vec<usize> = Vec::new();
-        let mut payload_bytes: Vec<usize> = Vec::new();
-        // Diff in 8-byte blocks via u64 loads: near-golden variants
-        // differ in a handful of bytes, so the scan is dominated by
-        // equal blocks and one integer compare retires each of them.
-        let mut diff_at = |pos: usize| -> bool {
+        let mut changed: Vec<usize> = Vec::new();
+        let payload_delta = for_each_diff(&r.bytes, bytes, |pos| {
             if r.payload.contains(&pos) {
-                words.push((pos - r.payload.start) / 4);
-                payload_bytes.push(pos - r.payload.start);
+                let b = pos - r.payload.start;
+                words.push(b / 4);
+                changed.extend(self.lut_at(b));
                 true
             } else {
                 crc_word.contains(&pos)
             }
-        };
-        let mut chunks_a = r.bytes.chunks_exact(8);
-        let mut chunks_b = bytes.chunks_exact(8);
-        let mut block = 0;
-        for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-            let a = u64::from_ne_bytes(ca.try_into().expect("8-byte chunk"));
-            let b = u64::from_ne_bytes(cb.try_into().expect("8-byte chunk"));
-            if a != b {
-                #[allow(clippy::needless_range_loop)]
-                for pos in block..block + 8 {
-                    if r.bytes[pos] != bytes[pos] && !diff_at(pos) {
-                        // A structural difference (headers, commands,
-                        // a zeroed CRC packet): not expressible as a
-                        // payload delta.
-                        return None;
-                    }
-                }
-            }
-            block += 8;
-        }
-        for (pos, (a, b)) in chunks_a.remainder().iter().zip(chunks_b.remainder()).enumerate() {
-            if a != b && !diff_at(block + pos) {
-                return None;
-            }
+        });
+        if !payload_delta {
+            // A structural difference (headers, commands, a zeroed CRC
+            // packet): not expressible as a payload delta.
+            return None;
         }
         words.dedup();
         let computed = r.delta.value_for(&r.bytes, bytes, r.payload.start, &words);
@@ -493,20 +500,41 @@ impl Fpga {
             })));
         }
         let mut inits = r.inits.clone();
-        let mut reread: Vec<usize> = Vec::new();
-        for b in payload_bytes {
-            if let Some(luts) = r.byte_luts.get(&b) {
-                reread.extend_from_slice(luts);
-            }
-        }
-        reread.sort_unstable();
-        reread.dedup();
-        let payload = &bytes[r.payload.clone()];
-        for i in reread {
-            inits[i] = codec::read_lut(payload, self.geometry.lut_location(self.db.luts[i].site));
-        }
+        self.reread(&bytes[r.payload.clone()], &mut inits, changed);
         Some(Ok(inits))
     }
+}
+
+/// Calls `at` with every position where the equal-length `a` and `b`
+/// differ, in increasing order, until `at` returns `false`; returns
+/// whether every call returned `true`. Compares in 8-byte blocks via
+/// `u64` loads: configuration deltas differ in a handful of bytes, so
+/// the scan is dominated by equal blocks and one integer compare
+/// retires each of them.
+fn for_each_diff(a: &[u8], b: &[u8], mut at: impl FnMut(usize) -> bool) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut chunks_a = a.chunks_exact(8);
+    let mut chunks_b = b.chunks_exact(8);
+    let mut block = 0;
+    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
+        let wa = u64::from_ne_bytes(ca.try_into().expect("8-byte chunk"));
+        let wb = u64::from_ne_bytes(cb.try_into().expect("8-byte chunk"));
+        if wa != wb {
+            for (k, (x, y)) in ca.iter().zip(cb).enumerate() {
+                if x != y && !at(block + k) {
+                    return false;
+                }
+            }
+        }
+        block += 8;
+    }
+    let tail = chunks_a.remainder().iter().zip(chunks_b.remainder());
+    for (k, (x, y)) in tail.enumerate() {
+        if x != y && !at(block + k) {
+            return false;
+        }
+    }
+    true
 }
 
 /// The reference stream a [`Fpga::decode_lut_inits_batch`] call
@@ -520,23 +548,15 @@ struct RefDecode {
     delta: DeltaCrc,
     /// The reference stream's decoded INIT values.
     inits: Vec<DualOutputInit>,
-    /// Payload-relative byte index → LUT indices stored there.
-    byte_luts: HashMap<usize, Vec<usize>>,
 }
 
 impl RefDecode {
     /// Builds the reference from an accepted stream, or `None` when
     /// the stream's structure defeats the delta model.
-    fn analyze(fpga: &Fpga, bs: &Bitstream, inits: Vec<DualOutputInit>) -> Option<Self> {
+    fn analyze(bs: &Bitstream, inits: Vec<DualOutputInit>) -> Option<Self> {
         let payload = bs.fdri_data_range()?;
         let delta = DeltaCrc::analyze(bs, &payload)?;
-        let mut byte_luts: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, cell) in fpga.db.luts.iter().enumerate() {
-            for b in fpga.geometry.lut_location(cell.site).byte_indices() {
-                byte_luts.entry(b).or_default().push(i);
-            }
-        }
-        Some(Self { bytes: bs.as_bytes().to_vec(), payload, delta, inits, byte_luts })
+        Some(Self { bytes: bs.as_bytes().to_vec(), payload, delta, inits })
     }
 }
 

@@ -119,9 +119,10 @@ struct Gate {
 
 const FIVE: NonZeroUsize = NonZeroUsize::new(5).expect("non-zero");
 
-/// Pairs for the resilience gate: its two arms differ by ~0% against a
-/// 5% ceiling, so a loaded host's per-pair spread needs more pairs; an
-/// odd count makes the median one paired ratio.
+/// Pairs for the resilience and telemetry gates: each one's two arms
+/// differ by ~0% against a 5% ceiling, so a loaded host's per-pair
+/// spread needs more pairs; an odd count makes the median one paired
+/// ratio.
 const ELEVEN: NonZeroUsize = NonZeroUsize::new(11).expect("non-zero");
 
 /// Sessions per campaign arm.
@@ -170,7 +171,7 @@ const GATES: [Gate; 6] = [
         name: "telemetry",
         labels: ["untraced", "traced"],
         arms: [|| traced(false), || traced(true)],
-        pairs: FIVE,
+        pairs: ELEVEN,
         bound: Bound::OverheadPct(5.0),
     },
     Gate {

@@ -452,12 +452,6 @@ impl PartialForge {
         })
     }
 
-    /// The reference FDRI payload byte range.
-    #[must_use]
-    pub fn payload_range(&self) -> Range<usize> {
-        self.payload.clone()
-    }
-
     /// Forges the frame-delta that turns the on-device `image` into
     /// `candidate`. Returns `None` — caller ships a full load — when
     /// the pair is not expressible as a payload delta: length or

@@ -741,13 +741,6 @@ impl<'a> Attack<'a> {
         self
     }
 
-    /// Side-channel traces recorded for this run (0 on plaintext
-    /// runs).
-    #[must_use]
-    pub fn sca_traces(&self) -> u32 {
-        self.sca_traces
-    }
-
     /// Persists the current checkpoint (no-op without a journal).
     fn save_journal(&mut self) -> Result<(), AttackError> {
         let Some(journal) = &self.journal else { return Ok(()) };
@@ -802,12 +795,6 @@ impl<'a> Attack<'a> {
     #[must_use]
     pub fn resilience_config(&self) -> &ResilienceConfig {
         self.oracle.config()
-    }
-
-    /// Resilience-layer effort counters so far.
-    #[must_use]
-    pub fn resilience_stats(&self) -> ResilientStats {
-        self.oracle.stats()
     }
 
     /// One query through the resilience layer, for the steps whose

@@ -20,9 +20,7 @@ use crate::attack::AttackError;
 use crate::candidates::Catalogue;
 use crate::countermeasure::xor_half_scan;
 use crate::findlut::{LutHit, ScanConfigError, Scanner};
-use crate::fleet::{
-    ConfigError, ResumePolicy, SessionError, SessionIo, SessionOutcome, SessionSpec,
-};
+use crate::fleet::{ConfigError, SessionError, SessionOutcome, SessionSpec};
 
 /// An error from a CLI operation.
 #[derive(Debug)]
@@ -339,12 +337,13 @@ pub fn default_stride() -> usize {
     FRAME_BYTES
 }
 
-/// `attack`: builds the simulated SNOW 3G victim (ETSI Test Set 1)
-/// and runs the full key-recovery pipeline against it. With `noisy`,
-/// the board is wrapped in the seeded fault model and the attack
-/// queries through the resilience layer (retry + majority vote +
-/// budget). Budget exhaustion is reported as a structured partial
-/// result, not an error.
+/// `attack`: runs the session through [`SessionSpec::run_local`] (the
+/// simulated SNOW 3G victim, ETSI Test Set 1) and renders its report.
+/// With `noisy`, the board is wrapped in the seeded fault model and
+/// the attack queries through the resilience layer (retry + majority
+/// vote + budget). Budget exhaustion is reported as a structured
+/// partial result, not an error; a recovered key that is not the Test
+/// Set 1 key is reported as a failed session.
 ///
 /// With `journal`, the attack persists a crash-safe checkpoint after
 /// every completed work item; with `resume`, it continues a previous
@@ -354,27 +353,16 @@ pub fn default_stride() -> usize {
 ///
 /// # Errors
 ///
-/// Propagates board-construction, journal and attack failures;
+/// Propagates board-construction, journal, trace and attack failures;
 /// [`CliError::Session`] when the spec/run-site combination is
 /// invalid (e.g. `--resume` pointing at a journal that does not
 /// exist).
 pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
     use fmt::Write;
-    let config = netlist::snow3g_circuit::Snow3gCircuitConfig::unprotected(
-        snow3g::vectors::TEST_SET_1_KEY,
-        snow3g::vectors::TEST_SET_1_IV,
-    );
-    let board = fpga_sim::Snow3gBoard::build(config, &fpga_sim::ImplementOptions::default())?;
-
     let mut out = String::new();
-    let telemetry = match spec.trace_path() {
-        Some(path) => {
-            let t = crate::telemetry::Telemetry::to_path(path)?;
-            let _ = writeln!(out, "tracing to {}", path.display());
-            t
-        }
-        None => crate::telemetry::Telemetry::off(),
-    };
+    if let Some(path) = spec.trace_path() {
+        let _ = writeln!(out, "tracing to {}", path.display());
+    }
     if spec.noisy {
         let _ = writeln!(
             out,
@@ -411,32 +399,9 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
         );
     }
 
-    let io = SessionIo {
-        journal: spec.journal_path().map(std::path::Path::to_path_buf),
-        resume: if spec.resume { ResumePolicy::Require } else { ResumePolicy::Never },
-        telemetry: telemetry.clone(),
-        cancel: crate::fleet::CancelToken::new(),
-        // The CLI demo trusts the pipeline's own verification pass
-        // (as it always has) rather than cross-checking the key.
-        expected_key: None,
-    };
-    let report = if spec.noisy {
-        let board = fpga_sim::UnreliableBoard::new(board, spec.fault_profile());
-        let golden = board.extract_bitstream();
-        let report = spec.run_harnessed(&board, golden, &io)?;
-        // Board-side fault accounting (faults *injected*) — recorded
-        // after the run so the trace can set it against the retries
-        // the attack *observed* (glitched bits that majority voting
-        // outvotes never surface as retries).
-        crate::fleet::session::record_board_faults(&telemetry, &board);
-        report
-    } else {
-        let golden = board.extract_bitstream();
-        spec.run_harnessed(&board, golden, &io)?
-    };
-
-    match (&report.attack, &report.checkpoint) {
-        (Some(report), _) => {
+    let report = spec.run_local()?;
+    match (&report.outcome, &report.attack, &report.checkpoint) {
+        (SessionOutcome::Recovered(_), Some(report), _) => {
             let _ = writeln!(out, "recovered key: {}", report.recovered.key);
             let _ = writeln!(out, "recovered iv:  {}", report.recovered.iv);
             let _ = writeln!(
@@ -457,8 +422,8 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
                 report.dead_candidates
             );
         }
-        (None, Some(checkpoint)) => {
-            let _ = writeln!(out, "query budget exhausted: {}", report.outcome.note());
+        (SessionOutcome::Exhausted { summary, .. }, _, Some(checkpoint)) => {
+            let _ = writeln!(out, "query budget exhausted: {summary}");
             let _ = writeln!(out, "partial result: {checkpoint}");
             let _ = writeln!(
                 out,
@@ -473,15 +438,13 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
                 );
             }
         }
-        (None, None) => {
-            // Cancelled (no cancel source exists on this path, but
-            // the facade's contract allows it).
-            let _ = writeln!(out, "session {}", SessionOutcome::Cancelled.state_str());
+        // A wrong key or a cancellation: the outcome carries the note.
+        (outcome, _, _) => {
+            let _ = writeln!(out, "session {outcome}");
         }
     }
-    if telemetry.is_enabled() {
-        telemetry.finish()?;
-        out.push_str(&telemetry.summary_table());
+    if spec.trace_path().is_some() {
+        out.push_str(&report.metrics.summary_table());
     }
     Ok(out)
 }
@@ -623,6 +586,23 @@ mod tests {
         let (fixed, msg) = cmd_crc(&broken, false);
         assert!(msg.contains("recomputed"));
         assert!(fixed.parse()?.crc_checked);
+        Ok(())
+    }
+
+    #[test]
+    fn a_traced_attack_prints_the_key_and_finishes_its_trace() -> TestResult {
+        let path =
+            std::env::temp_dir().join(format!("bitmod-cli-attack-{}.ndjson", std::process::id()));
+        let spec = SessionSpec::builder().batch(fpga_sim::GANG_LANES).trace(&path).build()?;
+        let out = cmd_attack(&spec);
+        let trace = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_file(&path);
+        let (out, trace) = (out?, trace?);
+        let key = format!("recovered key: {}", snow3g::vectors::TEST_SET_1_KEY);
+        assert!(out.contains(&key), "{out}");
+        assert!(out.contains("telemetry summary"), "{out}");
+        let last = trace.lines().last().ok_or("the trace is empty")?;
+        assert!(last.contains("\"ev\":\"summary\""), "{last}");
         Ok(())
     }
 

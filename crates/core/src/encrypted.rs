@@ -133,13 +133,6 @@ impl<'a> EncryptedOracle<'a> {
         self
     }
 
-    /// The patch oracle (its golden plaintext is the attack's golden
-    /// bitstream — recovered from the container, not handed over).
-    #[must_use]
-    pub fn patcher(&self) -> &PatchOracle {
-        &self.patcher
-    }
-
     /// Cumulative seal/verify work statistics.
     #[must_use]
     pub fn patch_stats(&self) -> PatchStats {

@@ -198,12 +198,6 @@ impl Scanner {
         self.d
     }
 
-    /// The number of candidate functions in the index.
-    #[must_use]
-    pub fn candidate_count(&self) -> usize {
-        self.n_candidates
-    }
-
     /// Last scannable byte position in a payload of `len` bytes, or
     /// `None` if the payload is too short for even one LUT window.
     fn last_pos(&self, len: usize) -> Option<usize> {

@@ -24,15 +24,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bitstream::{Bitstream, PartialBitstream};
-
-use crate::oracle::{KeystreamOracle, OracleError};
+use crate::oracle::KeystreamOracle;
 use crate::telemetry::{names, Metrics, Telemetry};
 
 use super::health::{self, BoardScore, WorkerHealth};
 use super::session::{
-    record_board_faults, stats_from, CellStats, ResumePolicy, SessionError, SessionIo,
-    SessionOutcome, SessionSpec,
+    stats_from, test_set_1_board, BoardFate, CancelToken, CellStats, ResumePolicy, SessionError,
+    SessionIo, SessionOutcome, SessionSpec,
 };
 use super::store::{unpoisoned, SessionHandle, SessionStore, TeeSink};
 
@@ -82,12 +80,6 @@ impl FleetConfig {
     pub fn worker_count(&self) -> usize {
         self.workers
     }
-
-    /// The fleet root directory.
-    #[must_use]
-    pub fn root_dir(&self) -> &Path {
-        &self.root
-    }
 }
 
 /// The scheduler state under the one lock.
@@ -120,7 +112,9 @@ struct Shared {
     /// not steals — the counters (and the next boot) must tell the
     /// difference.
     draining: AtomicBool,
-    kills: Vec<Arc<AtomicBool>>,
+    /// Per-worker kill switches, enforced at each worker's device
+    /// boundary.
+    kills: Vec<CancelToken>,
     telemetry: Telemetry,
     /// Per-worker board-health scores, folded in after every noisy
     /// session from the board's own fault accounting.
@@ -160,7 +154,7 @@ impl Fleet {
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            kills: (0..workers).map(|_| Arc::new(AtomicBool::new(false))).collect(),
+            kills: (0..workers).map(|_| CancelToken::new()).collect(),
             telemetry: Telemetry::new(),
             boards: Mutex::new(vec![BoardScore::default(); workers]),
             pathology: {
@@ -174,7 +168,7 @@ impl Fleet {
         // recovered hardware) rejoins the pool; its marker is cleared
         // so this boot's health report starts clean.
         for index in health::scan_quarantined(shared.store.root()) {
-            if build_board().map(|board| probe_board(&board)).unwrap_or(false) {
+            if test_set_1_board().map(|board| probe_board(&board)).unwrap_or(false) {
                 health::clear_quarantine(shared.store.root(), index);
                 shared.telemetry.incr(names::FLEET_BOARDS_REPROBED, 1);
             } else if let Some(score) = unpoisoned(shared.boards.lock()).get_mut(index) {
@@ -290,7 +284,7 @@ impl Fleet {
     /// kill-and-steal tests.
     pub fn kill_worker(&self, index: usize) -> bool {
         let Some(kill) = self.shared.kills.get(index) else { return false };
-        kill.store(true, Ordering::SeqCst);
+        kill.cancel();
         self.shared.changed.notify_all();
         true
     }
@@ -338,7 +332,7 @@ impl Fleet {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for kill in &self.shared.kills {
-            kill.store(true, Ordering::SeqCst);
+            kill.cancel();
         }
         self.shared.changed.notify_all();
         let threads: Vec<_> = unpoisoned(self.threads.lock()).drain(..).collect();
@@ -353,126 +347,6 @@ impl Drop for Fleet {
     fn drop(&mut self) {
         let _ = self.shutdown();
     }
-}
-
-/// An oracle wrapper enforcing a worker's kill switch at the query
-/// chokepoint — the in-process analogue of `SIGKILL`, except the
-/// worker gets to requeue its session instead of relying on the next
-/// boot scan.
-struct KillGate<'a> {
-    inner: &'a dyn KeystreamOracle,
-    kill: &'a AtomicBool,
-}
-
-impl KillGate<'_> {
-    /// The rejection every load gets once the kill switch is set.
-    fn check(&self) -> Result<(), OracleError> {
-        if self.kill.load(Ordering::SeqCst) {
-            return Err(OracleError::Rejected("worker killed".into()));
-        }
-        Ok(())
-    }
-
-    /// Runs a batched load, or rejects every item once killed.
-    fn check_all(
-        &self,
-        items: usize,
-        load: impl FnOnce() -> Vec<Result<Vec<u32>, OracleError>>,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        match self.check() {
-            Ok(()) => load(),
-            Err(e) => vec![Err(e); items],
-        }
-    }
-}
-
-impl KeystreamOracle for KillGate<'_> {
-    fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        self.check()?;
-        self.inner.keystream(bitstream, words)
-    }
-
-    fn keystream_batch(
-        &self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.check_all(bitstreams.len(), || self.inner.keystream_batch(bitstreams, words))
-    }
-
-    fn state_snapshot(&self) -> Option<Vec<u8>> {
-        self.inner.state_snapshot()
-    }
-
-    fn restore_state(&self, state: &[u8]) -> Result<(), OracleError> {
-        self.inner.restore_state(state)
-    }
-
-    // Fault planning forwards verbatim: the kill switch is enforced
-    // on every *committing* call path above, and a kill that lands
-    // between planning and commit is caught at the next query exactly
-    // as it would be between two serial queries.
-    fn fault_planning(&self) -> bool {
-        self.inner.fault_planning()
-    }
-
-    fn plan_read(&self, ahead: u64, words: usize) -> Option<fpga_sim::ReadPlan> {
-        self.inner.plan_read(ahead, words)
-    }
-
-    fn commit_reads(&self, plans: &[fpga_sim::ReadPlan]) {
-        self.inner.commit_reads(plans);
-    }
-
-    fn keystream_batch_clean(
-        &self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.check_all(bitstreams.len(), || self.inner.keystream_batch_clean(bitstreams, words))
-    }
-
-    fn resolve_plan(
-        &self,
-        plan: &fpga_sim::ReadPlan,
-        clean: Result<Vec<u32>, OracleError>,
-        want: usize,
-    ) -> Result<Vec<u32>, OracleError> {
-        self.inner.resolve_plan(plan, clean, want)
-    }
-
-    // The partial-reconfiguration port is the board's second real
-    // port; hiding it would silently turn `partial` sessions into
-    // full loads.
-    fn partial_capable(&self) -> bool {
-        self.inner.partial_capable()
-    }
-
-    fn keystream_partial(
-        &self,
-        partial: &PartialBitstream,
-        words: usize,
-    ) -> Result<Vec<u32>, OracleError> {
-        self.check()?;
-        self.inner.keystream_partial(partial, words)
-    }
-
-    fn keystream_partial_batch_clean(
-        &self,
-        partials: &[PartialBitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.check_all(partials.len(), || self.inner.keystream_partial_batch_clean(partials, words))
-    }
-}
-
-fn build_board() -> Result<fpga_sim::Snow3gBoard, SessionError> {
-    let config = netlist::snow3g_circuit::Snow3gCircuitConfig::unprotected(
-        snow3g::vectors::TEST_SET_1_KEY,
-        snow3g::vectors::TEST_SET_1_IV,
-    );
-    fpga_sim::Snow3gBoard::build(config, &fpga_sim::ImplementOptions::default())
-        .map_err(SessionError::Board)
 }
 
 /// One probe read against a candidate board: does it still answer?
@@ -547,7 +421,7 @@ fn worker_loop(shared: &Shared, index: usize) {
     sched.injector.extend(leftover);
     sched.dead[index] = true;
     drop(sched);
-    if kill.load(Ordering::SeqCst) && !shared.draining.load(Ordering::SeqCst) {
+    if kill.is_cancelled() && !shared.draining.load(Ordering::SeqCst) {
         shared.telemetry.incr(names::FLEET_WORKERS_KILLED, 1);
     }
     let total = started.elapsed().max(Duration::from_micros(1));
@@ -558,10 +432,10 @@ fn worker_loop(shared: &Shared, index: usize) {
 
 /// Blocks until this worker has a session to run; `None` means exit
 /// (killed, or shut down with nothing left to do).
-fn next_session(shared: &Shared, index: usize, kill: &AtomicBool) -> Option<String> {
+fn next_session(shared: &Shared, index: usize, kill: &CancelToken) -> Option<String> {
     let mut sched = unpoisoned(shared.sched.lock());
     loop {
-        if kill.load(Ordering::SeqCst) {
+        if kill.is_cancelled() {
             return None;
         }
         if let Some(id) = sched.queues[index].pop_front() {
@@ -618,7 +492,7 @@ fn run_session(
     shared: &Shared,
     index: usize,
     pool: &mut Option<fpga_sim::Snow3gBoard>,
-    kill: &AtomicBool,
+    kill: &CancelToken,
     handle: &SessionHandle,
 ) -> Verdict {
     let spec = handle.spec().clone();
@@ -642,7 +516,7 @@ fn run_session(
         expected_key: Some(snow3g::vectors::TEST_SET_1_KEY),
     };
 
-    let board = match pool.take().map(Ok).unwrap_or_else(build_board) {
+    let board = match pool.take().map(Ok).unwrap_or_else(test_set_1_board) {
         Ok(board) => board,
         Err(e) => {
             handle.finish(&SessionOutcome::Failed {
@@ -653,36 +527,11 @@ fn run_session(
         }
     };
 
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        if spec.is_noisy() {
-            // The spec owns the ambient noise; the fleet owns which
-            // board is pathological (`same_ambient` keeps the two
-            // separable, so a migrated session replays identically on
-            // the healthy peer).
-            let mut profile = spec.fault_profile();
-            if let Some(dies_at) = shared.pathology.get(index).copied().flatten() {
-                profile = profile.with_dies_at(dies_at);
-            }
-            let noisy = fpga_sim::UnreliableBoard::new(board, profile);
-            let gate = KillGate { inner: &noisy, kill };
-            let golden = noisy.extract_bitstream();
-            let result = spec.run_harnessed(&gate, golden, &io);
-            record_board_faults(&io.telemetry, &noisy);
-            // Two fault views with different owners: the session-wide
-            // counters (journal-restored across migrations) feed the
-            // fleet's observed-vs-injected gap, while the board-local
-            // wear feeds *this* worker's health score — a healthy
-            // board inheriting a dying peer's session is not blamed
-            // for the faults the dead board injected.
-            let fate = Some((noisy.fault_stats(), noisy.local_stats(), noisy.is_dead()));
-            (result, fate, noisy.into_inner())
-        } else {
-            let gate = KillGate { inner: &board, kill };
-            let golden = board.extract_bitstream();
-            let result = spec.run_harnessed(&gate, golden, &io);
-            (result, None, board)
-        }
-    }));
+    // The spec owns the ambient noise; the fleet owns which board is
+    // pathological (`same_ambient` keeps the two separable, so a
+    // migrated session replays identically on the healthy peer).
+    let dies_at = shared.pathology.get(index).copied().flatten();
+    let run = catch_unwind(AssertUnwindSafe(|| spec.run_on_board(board, dies_at, kill, &io)));
     // Close the leg's trace with the `summary` event, as a local
     // traced run does: every counter, including the full/partial load
     // split, for `tail` readers and the trace file. A broken sink
@@ -690,7 +539,7 @@ fn run_session(
     let _ = io.telemetry.finish();
 
     match run {
-        Ok((result, fate, board)) => {
+        Ok((result, board, fate)) => {
             // Torn-checkpoint discards happen inside the session run,
             // against its own telemetry; roll them up where
             // `bitmod status` and the fleet counters can see them.
@@ -702,20 +551,18 @@ fn run_session(
             // score; a dead board is quarantined (durably) instead of
             // returning to the pool.
             let mut board_dead = false;
-            if let Some((session_stats, local_stats, dead)) = fate {
+            if let Some(BoardFate { session, local, dead }) = fate {
                 // Roll this run's observed-vs-injected gap — faults
                 // the board injected that never surfaced as retries,
                 // absorbed by voting — up into the fleet counters,
                 // where `bitmod status` reads it.
-                let injected = session_stats.transient_failures
-                    + session_stats.timeouts
-                    + session_stats.truncated_reads
-                    + session_stats.bits_flipped;
                 let observed = io.telemetry.metrics().counter(names::ORACLE_RETRIES);
-                shared.telemetry.incr(names::BOARD_FAULT_GAP, injected.saturating_sub(observed));
+                shared
+                    .telemetry
+                    .incr(names::BOARD_FAULT_GAP, session.injected().saturating_sub(observed));
                 let score = {
                     let mut boards = unpoisoned(shared.boards.lock());
-                    boards[index].observe(&local_stats, dead);
+                    boards[index].observe(&local, dead);
                     boards[index]
                 };
                 if dead {
@@ -741,7 +588,7 @@ fn run_session(
                     }
                 }
                 Err(e) => {
-                    if kill.load(Ordering::SeqCst) {
+                    if kill.is_cancelled() {
                         return Verdict::Requeue;
                     }
                     if board_dead {

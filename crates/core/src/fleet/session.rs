@@ -10,10 +10,11 @@
 //!   [`ConfigError`]s instead of panics or silent nonsense);
 //! * [`SessionSpec::run_local`] — builds the standard simulated
 //!   victim (ETSI Test Set 1) and runs the full pipeline, honouring
-//!   the spec's journal/trace/resume settings;
+//!   the spec's journal/trace/resume settings. `bitmod attack` is
+//!   `run_local` plus rendering, and fleet workers run their pooled
+//!   boards through the same board runner;
 //! * [`SessionSpec::run_against`] — the same engine over a
-//!   caller-supplied oracle, used by fleet workers (pooled boards,
-//!   supervised oracles) and custom experiments.
+//!   caller-supplied oracle, for custom experiments.
 //!
 //! CLI flags (`bitmod attack`, `bitmod submit`) and server-submitted
 //! wire specs both parse into the same builder, so a spec that
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bitstream::{Bitstream, FRAME_BYTES};
+use bitstream::{Bitstream, PartialBitstream, FRAME_BYTES};
 
 use crate::attack::{Attack, AttackCheckpoint, AttackError, AttackReport};
 use crate::journal::AttackJournal;
@@ -527,18 +528,6 @@ impl SessionSpec {
         self.encrypted
     }
 
-    /// The side-channel trace budget of an encrypted session.
-    #[must_use]
-    pub fn sca_trace_budget(&self) -> u32 {
-        self.sca_traces
-    }
-
-    /// Whether candidate loads ship as frame-delta partial streams.
-    #[must_use]
-    pub fn is_partial(&self) -> bool {
-        self.partial
-    }
-
     /// The journal path of a local run, when journalled.
     #[must_use]
     pub fn journal_path(&self) -> Option<&std::path::Path> {
@@ -599,19 +588,15 @@ impl SessionSpec {
     /// honouring the spec's journal/trace/resume settings. The
     /// recovered key is verified against the known Test Set 1 key (a
     /// mismatch is a [`SessionOutcome::Failed`], not a silent
-    /// success).
+    /// success). A traced run ends its trace with the `summary` event.
     ///
     /// # Errors
     ///
     /// [`SessionError::Board`] when the victim cannot be built;
-    /// otherwise as [`SessionSpec::run_against`].
+    /// [`SessionError::Telemetry`] when the trace sink cannot be
+    /// opened or written; otherwise as [`SessionSpec::run_against`].
     pub fn run_local(&self) -> Result<SessionReport, SessionError> {
-        let config = netlist::snow3g_circuit::Snow3gCircuitConfig::unprotected(
-            snow3g::vectors::TEST_SET_1_KEY,
-            snow3g::vectors::TEST_SET_1_IV,
-        );
-        let board = fpga_sim::Snow3gBoard::build(config, &fpga_sim::ImplementOptions::default())
-            .map_err(SessionError::Board)?;
+        let board = test_set_1_board()?;
         let telemetry = match &self.trace {
             Some(path) => Telemetry::to_path(path).map_err(SessionError::Telemetry)?,
             None => Telemetry::off(),
@@ -623,16 +608,69 @@ impl SessionSpec {
             cancel: CancelToken::new(),
             expected_key: Some(snow3g::vectors::TEST_SET_1_KEY),
         };
-        if self.noisy {
-            let board = fpga_sim::UnreliableBoard::new(board, self.fault_profile());
-            let golden = board.extract_bitstream();
-            let report = self.run_harnessed(&board, golden, &io)?;
-            record_board_faults(&io.telemetry, &board);
-            Ok(report)
-        } else {
-            let golden = board.extract_bitstream();
-            self.run_harnessed(&board, golden, &io)
+        let (result, _, _) = self.run_on_board(board, None, &CancelToken::new(), &io);
+        let finished = io.telemetry.finish();
+        let report = result?;
+        finished.map_err(SessionError::Telemetry)?;
+        Ok(report)
+    }
+
+    /// Runs this session on `board`, the one victim fork every
+    /// board-owning caller shares (`run_local`, `bitmod attack` through
+    /// it, and the fleet worker). A noisy spec wraps the board in the
+    /// fault model its [`fault_profile`](Self::fault_profile) describes,
+    /// plus the board-local death fuse `dies_at`, which the fleet owns
+    /// and the spec cannot express. `stop` gates the device boundary: a
+    /// [`SupervisedOracle`] on it rejects every load once it is
+    /// cancelled (the fleet worker's kill switch), below the session's
+    /// own cancel and deadline gate, so a killed leg ends in an error
+    /// the worker requeues rather than a [`SessionOutcome`].
+    ///
+    /// Returns the session result, the board (for the worker's pool)
+    /// and, for noisy sessions, the board's fault fate. The board's
+    /// injected faults are recorded into `io.telemetry` after the run,
+    /// and a traced report's metrics are refreshed to include them.
+    pub(crate) fn run_on_board(
+        &self,
+        board: fpga_sim::Snow3gBoard,
+        dies_at: Option<u64>,
+        stop: &CancelToken,
+        io: &SessionIo,
+    ) -> (Result<SessionReport, SessionError>, fpga_sim::Snow3gBoard, Option<BoardFate>) {
+        if !self.noisy {
+            let gate = SupervisedOracle::new(&board, stop.clone(), None, Telemetry::off());
+            let result = self.run_harnessed(&gate, board.extract_bitstream(), io);
+            return (result, board, None);
         }
+        let mut profile = self.fault_profile();
+        if let Some(load) = dies_at {
+            profile = profile.with_dies_at(load);
+        }
+        let noisy = fpga_sim::UnreliableBoard::new(board, profile);
+        let gate = SupervisedOracle::new(&noisy, stop.clone(), None, Telemetry::off());
+        let mut result = self.run_harnessed(&gate, noisy.extract_bitstream(), io);
+        // Faults *injected*, recorded after the run so the trace can
+        // set them against the retries the attack *observed* (glitched
+        // bits that majority voting outvotes never surface as
+        // retries).
+        let session = noisy.fault_stats();
+        io.telemetry.record_board_faults(
+            session.loads_attempted,
+            session.transient_failures,
+            session.timeouts,
+            session.truncated_reads,
+            session.bits_flipped,
+        );
+        // A traced report was read from this recorder, so refresh it to
+        // carry the `board.*` counters; an untraced run records into a
+        // private recorder the board faults never reach.
+        if io.telemetry.is_enabled() {
+            if let Ok(report) = &mut result {
+                report.metrics = io.telemetry.metrics();
+            }
+        }
+        let fate = BoardFate { session, local: noisy.local_stats(), dead: noisy.is_dead() };
+        (result, noisy.into_inner(), Some(fate))
     }
 
     /// Runs this session with the spec's container mode honoured: a
@@ -879,15 +917,17 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation. Idempotent; never blocks.
+    /// Requests cancellation. Idempotent; never blocks. Sequentially
+    /// consistent, so whoever sees the cancellation also sees what the
+    /// canceller wrote before it (the fleet's drain flag).
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.0.store(true, Ordering::SeqCst);
     }
 
     /// Whether cancellation has been requested.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::SeqCst)
     }
 }
 
@@ -896,6 +936,14 @@ impl CancelToken {
 /// token and the wall-clock deadline. Both surface as the
 /// non-transient [`OracleError::Rejected`], which the resilience
 /// layer aborts on immediately instead of retrying.
+///
+/// It gates twice in a session: [`SessionSpec::run_against`] puts one
+/// on top of the stack for the session's cancel token and deadline,
+/// and the board runner puts one at the device boundary for the fleet
+/// worker's kill switch. Both of the board's ports pass through, the
+/// full-configuration port and the partial-reconfiguration port, each
+/// behind the same check; hiding the partial port would silently turn
+/// `partial` sessions into full loads.
 pub struct SupervisedOracle<'a> {
     inner: &'a dyn KeystreamOracle,
     cancel: CancelToken,
@@ -998,6 +1046,32 @@ impl KeystreamOracle for SupervisedOracle<'_> {
         want: usize,
     ) -> Result<Vec<u32>, OracleError> {
         self.inner.resolve_plan(plan, clean, want)
+    }
+
+    fn partial_capable(&self) -> bool {
+        self.inner.partial_capable()
+    }
+
+    fn keystream_partial(
+        &self,
+        partial: &PartialBitstream,
+        words: usize,
+    ) -> Result<Vec<u32>, OracleError> {
+        match self.rejection() {
+            Some(e) => Err(e),
+            None => self.inner.keystream_partial(partial, words),
+        }
+    }
+
+    fn keystream_partial_batch_clean(
+        &self,
+        partials: &[PartialBitstream],
+        words: usize,
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
+        match self.rejection() {
+            Some(e) => vec![Err(e); partials.len()],
+            None => self.inner.keystream_partial_batch_clean(partials, words),
+        }
     }
 }
 
@@ -1204,18 +1278,29 @@ pub fn stats_from(telemetry: &Telemetry) -> CellStats {
     }
 }
 
-/// Records a board's injected-fault accounting into a session's
-/// telemetry — after the run, so the trace can set faults *injected*
-/// against the retries the attack *observed*.
-pub fn record_board_faults(telemetry: &Telemetry, board: &fpga_sim::UnreliableBoard) {
-    let fs = board.fault_stats();
-    telemetry.record_board_faults(
-        fs.loads_attempted,
-        fs.transient_failures,
-        fs.timeouts,
-        fs.truncated_reads,
-        fs.bits_flipped,
+/// Builds the standard simulated victim: ETSI Test Set 1 on the
+/// unprotected mapping.
+pub(crate) fn test_set_1_board() -> Result<fpga_sim::Snow3gBoard, SessionError> {
+    let config = netlist::snow3g_circuit::Snow3gCircuitConfig::unprotected(
+        snow3g::vectors::TEST_SET_1_KEY,
+        snow3g::vectors::TEST_SET_1_IV,
     );
+    fpga_sim::Snow3gBoard::build(config, &fpga_sim::ImplementOptions::default())
+        .map_err(SessionError::Board)
+}
+
+/// How a noisy session left its board. Two fault views with different
+/// owners: the session-wide counters (journal-restored across
+/// migrations) and the board-local wear, so a healthy board inheriting
+/// a dying peer's session is not blamed for the faults the dead board
+/// injected.
+pub(crate) struct BoardFate {
+    /// Faults injected over the whole session, resumed legs included.
+    pub(crate) session: fpga_sim::FaultStats,
+    /// Faults this board injected itself.
+    pub(crate) local: fpga_sim::FaultStats,
+    /// Whether the board's death fuse has blown.
+    pub(crate) dead: bool,
 }
 
 #[cfg(test)]
@@ -1332,28 +1417,62 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_local_run_ends_its_trace_with_the_summary() {
+        let path =
+            std::env::temp_dir().join(format!("bitmod-run-local-{}.ndjson", std::process::id()));
+        let spec =
+            SessionSpec::builder().batch(fpga_sim::GANG_LANES).trace(&path).build().expect("valid");
+        let report = spec.run_local().expect("session runs");
+        let trace = std::fs::read_to_string(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(report.outcome, SessionOutcome::Recovered(_)), "{}", report.outcome);
+        let last = trace.lines().last().expect("trace has events");
+        assert!(last.contains("\"ev\":\"summary\""), "{last}");
+    }
+
+    #[test]
     fn the_supervised_oracle_enforces_cancellation_and_deadline() {
         struct Null;
         impl KeystreamOracle for Null {
             fn keystream(&self, _: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
                 Ok(vec![0; words])
             }
+            fn partial_capable(&self) -> bool {
+                true
+            }
+            fn keystream_partial(
+                &self,
+                _: &PartialBitstream,
+                words: usize,
+            ) -> Result<Vec<u32>, OracleError> {
+                Ok(vec![0; words])
+            }
         }
         let bs = Bitstream::from_bytes(vec![0; 8]);
+        let delta = PartialBitstream::from_bytes(vec![0; 8]);
 
         let cancel = CancelToken::new();
         let telemetry = Telemetry::new();
         let oracle = SupervisedOracle::new(&Null, cancel.clone(), None, telemetry.clone());
+        assert!(oracle.partial_capable(), "the partial port must stay visible");
         assert_eq!(oracle.keystream(&bs, 2).expect("clean"), vec![0, 0]);
+        assert_eq!(oracle.keystream_partial(&delta, 2).expect("clean"), vec![0, 0]);
         cancel.cancel();
         let err = oracle.keystream(&bs, 2).expect_err("cancelled");
         assert!(!err.is_transient(), "cancellation must not be retried");
         assert!(err.to_string().contains("cancelled"), "{err}");
+        let rejected =
+            |r: &Result<Vec<u32>, OracleError>| r.as_ref().is_err_and(|e| !e.is_transient());
         let batch = oracle.keystream_batch(&[bs.clone(), bs.clone()], 2);
-        assert!(batch.iter().all(|r| r.as_ref().is_err_and(|e| !e.is_transient())));
+        assert!(batch.iter().all(rejected));
+        assert!(rejected(&oracle.keystream_partial(&delta, 2)));
+        let batch = oracle.keystream_partial_batch_clean(&[delta.clone(), delta.clone()], 2);
+        assert_eq!(batch.len(), 2);
+        assert!(batch.iter().all(rejected));
+        assert!(oracle.partial_capable(), "a cancelled gate still reports its port");
         let m = telemetry.metrics();
-        assert_eq!(m.counter(names::SUPERVISED_CALLS), 3);
-        assert_eq!(m.counter(names::SUPERVISED_REJECTIONS), 2);
+        assert_eq!(m.counter(names::SUPERVISED_CALLS), 6);
+        assert_eq!(m.counter(names::SUPERVISED_REJECTIONS), 4);
 
         let expired = Some(Instant::now() - Duration::from_millis(1));
         let oracle = SupervisedOracle::new(&Null, CancelToken::new(), expired, Telemetry::new());

@@ -371,6 +371,45 @@ impl Metrics {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
     }
+
+    /// Renders the end-of-run summary table: every counter, then every
+    /// histogram's count, min, max and mean (empty string when nothing
+    /// was recorded).
+    #[must_use]
+    pub fn summary_table(&self) -> String {
+        if self.is_empty() {
+            return String::new();
+        }
+        let mut out = String::new();
+        use fmt::Write as _;
+        let _ = writeln!(out, "telemetry summary");
+        let width = self.counters().map(|(n, _)| n.len()).max().unwrap_or(7).max("counter".len());
+        let _ = writeln!(out, "  {:width$} | {:>12}", "counter", "value");
+        for (name, v) in self.counters() {
+            let _ = writeln!(out, "  {name:width$} | {v:>12}");
+        }
+        if self.histograms().next().is_some() {
+            let hwidth =
+                self.histograms().map(|(n, _)| n.len()).max().unwrap_or(9).max("histogram".len());
+            let _ = writeln!(
+                out,
+                "  {:hwidth$} | {:>8} | {:>8} | {:>8} | {:>10}",
+                "histogram", "count", "min", "max", "mean"
+            );
+            for (name, h) in self.histograms() {
+                let _ = writeln!(
+                    out,
+                    "  {:hwidth$} | {:>8} | {:>8} | {:>8} | {:>10.1}",
+                    name,
+                    h.count(),
+                    h.min().unwrap_or(0),
+                    h.max().unwrap_or(0),
+                    h.mean().unwrap_or(0.0)
+                );
+            }
+        }
+        out
+    }
 }
 
 /// A typed telemetry-sink failure: opening the trace file or writing
@@ -803,11 +842,6 @@ impl Telemetry {
         });
     }
 
-    /// Folds an external metrics bag into this recorder.
-    pub fn merge_metrics(&self, other: &Metrics) {
-        self.with_state(|s| s.metrics.merge(other));
-    }
-
     /// Emits the `summary` event, flushes the sink, and surfaces the
     /// first sink error (if any) — the typed alternative to panicking
     /// inside a recording chokepoint.
@@ -842,48 +876,12 @@ impl Telemetry {
         .unwrap_or(Ok(()))
     }
 
-    /// Renders the end-of-run summary table (empty string when
-    /// disabled or nothing was recorded).
+    /// Renders the end-of-run summary table of the accumulated metrics
+    /// (empty string when disabled or nothing was recorded; see
+    /// [`Metrics::summary_table`]).
     #[must_use]
     pub fn summary_table(&self) -> String {
-        let metrics = self.metrics();
-        if metrics.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        use fmt::Write as _;
-        let _ = writeln!(out, "telemetry summary");
-        let width =
-            metrics.counters().map(|(n, _)| n.len()).max().unwrap_or(7).max("counter".len());
-        let _ = writeln!(out, "  {:width$} | {:>12}", "counter", "value");
-        for (name, v) in metrics.counters() {
-            let _ = writeln!(out, "  {name:width$} | {v:>12}");
-        }
-        if metrics.histograms().next().is_some() {
-            let hwidth = metrics
-                .histograms()
-                .map(|(n, _)| n.len())
-                .max()
-                .unwrap_or(9)
-                .max("histogram".len());
-            let _ = writeln!(
-                out,
-                "  {:hwidth$} | {:>8} | {:>8} | {:>8} | {:>10}",
-                "histogram", "count", "min", "max", "mean"
-            );
-            for (name, h) in metrics.histograms() {
-                let _ = writeln!(
-                    out,
-                    "  {:hwidth$} | {:>8} | {:>8} | {:>8} | {:>10.1}",
-                    name,
-                    h.count(),
-                    h.min().unwrap_or(0),
-                    h.max().unwrap_or(0),
-                    h.mean().unwrap_or(0.0)
-                );
-            }
-        }
-        out
+        self.metrics().summary_table()
     }
 }
 

@@ -277,13 +277,6 @@ impl Fpga {
         }
     }
 
-    /// Overrides the device IDCODE (enforced during configuration).
-    #[must_use]
-    pub fn with_idcode(mut self, idcode: u32) -> Self {
-        self.idcode = idcode;
-        self
-    }
-
     /// The device IDCODE.
     #[must_use]
     pub fn idcode(&self) -> u32 {
@@ -663,12 +656,6 @@ pub struct ConfiguredFpga<'a> {
 }
 
 impl ConfiguredFpga<'_> {
-    /// The INIT value loaded at LUT cell `i` (diagnostics).
-    #[must_use]
-    pub fn lut_init(&self, i: usize) -> DualOutputInit {
-        self.inits[i]
-    }
-
     /// Drives a primary input net.
     pub fn set_input(&mut self, net: NetId, value: bool) {
         self.values[net.index()] = value;

@@ -11,7 +11,7 @@
 
 use core::fmt;
 
-use bitstream::{Bitstream, OpenSecureError, SecureBitstream};
+use bitstream::{OpenSecureError, SecureBitstream};
 
 use crate::board::{BoardError, Load, Snow3gBoard};
 
@@ -99,16 +99,5 @@ impl SealedBoard {
         let opened = sealed.open(&self.k_enc).map_err(SealedLoadError::Container)?;
         let mut lanes = self.inner.load(&[Load::Full(&opened.bitstream)], words);
         lanes.pop().expect("one lane").map_err(SealedLoadError::Board)
-    }
-
-    /// Device-accurate open without running the fabric: what bitstream
-    /// would this container program? Used by tests to check the patch
-    /// oracle's seekable verifier against the real device behaviour.
-    ///
-    /// # Errors
-    ///
-    /// [`OpenSecureError`] exactly as the device would report it.
-    pub fn open_sealed(&self, sealed: &SecureBitstream) -> Result<Bitstream, OpenSecureError> {
-        Ok(sealed.open(&self.k_enc)?.bitstream)
     }
 }

@@ -50,6 +50,10 @@ pub enum CliError {
     Spec(ConfigError),
     /// The session harness failed outside the attack pipeline.
     Session(SessionError),
+    /// The session ran to completion without the key: a wrong key was
+    /// recovered, or the attack stopped on a typed error. Carries the
+    /// outcome's note.
+    Failed(String),
 }
 
 impl fmt::Display for CliError {
@@ -66,6 +70,7 @@ impl fmt::Display for CliError {
             CliError::Telemetry(e) => write!(f, "telemetry failure: {e}"),
             CliError::Spec(e) => write!(f, "invalid session spec: {e}"),
             CliError::Session(e) => write!(f, "session failed: {e}"),
+            CliError::Failed(note) => write!(f, "session failed: {note}"),
         }
     }
 }
@@ -342,8 +347,8 @@ pub fn default_stride() -> usize {
 /// With `noisy`, the board is wrapped in the seeded fault model and
 /// the attack queries through the resilience layer (retry + majority
 /// vote + budget). Budget exhaustion is reported as a structured
-/// partial result, not an error; a recovered key that is not the Test
-/// Set 1 key is reported as a failed session.
+/// partial result, not an error; a session that ends without the Test
+/// Set 1 key is a [`CliError::Failed`].
 ///
 /// With `journal`, the attack persists a crash-safe checkpoint after
 /// every completed work item; with `resume`, it continues a previous
@@ -356,7 +361,7 @@ pub fn default_stride() -> usize {
 /// Propagates board-construction, journal, trace and attack failures;
 /// [`CliError::Session`] when the spec/run-site combination is
 /// invalid (e.g. `--resume` pointing at a journal that does not
-/// exist).
+/// exist); [`CliError::Failed`] when the session ends `Failed`.
 pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
     use fmt::Write;
     let mut out = String::new();
@@ -400,6 +405,7 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
     }
 
     let report = spec.run_local()?;
+    attack_verdict(&report.outcome)?;
     match (&report.outcome, &report.attack, &report.checkpoint) {
         (SessionOutcome::Recovered(_), Some(report), _) => {
             let _ = writeln!(out, "recovered key: {}", report.recovered.key);
@@ -438,7 +444,8 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
                 );
             }
         }
-        // A wrong key or a cancellation: the outcome carries the note.
+        // A cancellation, or an outcome without its report: the
+        // outcome carries the note.
         (outcome, _, _) => {
             let _ = writeln!(out, "session {outcome}");
         }
@@ -447,6 +454,19 @@ pub fn cmd_attack(spec: &SessionSpec) -> Result<String, CliError> {
         out.push_str(&report.metrics.summary_table());
     }
     Ok(out)
+}
+
+/// How `attack` exits on a finished session: a `Failed` outcome is an
+/// error (non-zero exit, like every other attack failure); an
+/// exhausted budget is a partial result the journal resumes from, so
+/// it reports and exits 0 like a recovered key.
+fn attack_verdict(outcome: &SessionOutcome) -> Result<(), CliError> {
+    match outcome {
+        SessionOutcome::Failed { note, .. } => Err(CliError::Failed(note.clone())),
+        SessionOutcome::Recovered(_)
+        | SessionOutcome::Exhausted { .. }
+        | SessionOutcome::Cancelled => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -469,6 +489,22 @@ mod tests {
             DualOutputInit::from_single(f2),
         );
         Ok(BitstreamBuilder::new(frames).build())
+    }
+
+    #[test]
+    fn only_a_failed_session_is_an_attack_error() {
+        use crate::fleet::CellStats;
+        let failed = SessionOutcome::Failed {
+            stats: CellStats::default(),
+            note: "recovered a wrong key".into(),
+        };
+        let err = attack_verdict(&failed).expect_err("a failed session exits non-zero");
+        assert!(matches!(&err, CliError::Failed(note) if note == "recovered a wrong key"));
+        assert_eq!(err.to_string(), "session failed: recovered a wrong key");
+        let exhausted =
+            SessionOutcome::Exhausted { stats: CellStats::default(), summary: "budget".into() };
+        assert!(attack_verdict(&exhausted).is_ok(), "exhaustion reports and exits 0");
+        assert!(attack_verdict(&SessionOutcome::Recovered(CellStats::default())).is_ok());
     }
 
     #[test]

@@ -3,18 +3,30 @@
 //!
 //! A [`GangConfiguredFpga`] packs up to [`GANG_LANES`] configurations
 //! of the *same* device into one `u64` word per net, where bit *i* is
-//! lane *i*'s boolean value. LUT evaluation becomes a word-wide
-//! binary mux-tree reduction over pre-decoded per-lane truth-table
-//! bit-planes, flip-flop latching is a word copy, and one [`step`]
-//! advances all lanes at once — the throughput primitive behind
-//! batched oracle queries (`Snow3gBoard::load` over several lanes).
+//! lane *i*'s boolean value. Flip-flop latching is a word copy, and
+//! one [`step`] advances all lanes at once — the throughput primitive
+//! behind batched oracle queries (`Snow3gBoard::load` over several
+//! lanes).
+//!
+//! Building a gang compiles its LUTs into one flat list of product
+//! terms, in the device's topological order. Each distinct INIT a
+//! cell holds across the lanes is turned into algebraic normal form
+//! (ANF, an XOR of ANDs of input pins) by a Möbius transform; the
+//! mapped SNOW 3G cells are XOR-of-2/3 covers, so a whole pass is a
+//! few thousand short products. A cell whose lanes disagree blends
+//! its INITs under disjoint lane masks: `OR(f_g & mask_g)`, which is
+//! `XOR(f_g & mask_g)` because the masks are disjoint, so the mask is
+//! just one more literal of each of group *g*'s products. Block RAMs
+//! are read through bit-matrix transposes: per-lane address bytes in,
+//! per-bit lane words out.
 //!
 //! Lane *i* is bit-identical to the scalar [`ConfiguredFpga`]
-//! programmed with the same bitstream: the bit-planes are built by
-//! calling the scalar truth-table evaluators row by row, and the gang
-//! walks the same precomputed topological order, so equivalence holds
-//! by construction and is additionally pinned by a differential
-//! property test.
+//! programmed with the same bitstream. This no longer holds by
+//! construction from the scalar evaluators: it rests on the Möbius
+//! transform being the exact truth-table-to-ANF inverse (checked over
+//! single-variable, constant and random tables by this module's tests)
+//! and on the `gang_differential` property test, which runs random
+//! devices through both simulators lane for lane.
 //!
 //! [`step`]: GangConfiguredFpga::step
 //! [`ConfiguredFpga`]: crate::fabric::ConfiguredFpga
@@ -23,52 +35,89 @@ use boolfn::DualOutputInit;
 
 use bitstream::Bitstream;
 
-use crate::fabric::{EvalStep, Fpga, NetId, ProgramError};
+use crate::fabric::{BramCellDb, EvalStep, Fpga, NetId, ProgramError};
 
 /// Number of simulated devices packed into one gang word.
 pub const GANG_LANES: usize = 64;
 
-/// Pre-decoded truth tables for one LUT cell across all lanes.
-///
-/// `planes[r]` holds, in bit *i*, lane *i*'s truth-table output for
-/// input row *r* — so selecting row `addr[lane]` in every lane at
-/// once is a `log2(rows)` chain of word-wide 2:1 muxes.
-#[derive(Debug, Clone)]
-enum GangLut {
-    /// Single-output mode: O6 reads the full 64-row table.
-    Single { planes: Box<[u64; 64]> },
-    /// Fractured mode: O5 and O6 each read a 32-row half sharing
-    /// pins `a1..a5`.
-    Fractured { o5: Box<[u64; 32]>, o6: Box<[u64; 32]> },
+/// Literals per compiled term. A longer product first stores its
+/// trailing literals' AND in a slot of its own.
+const TERM_LITS: usize = 4;
+/// `Term::ctl` flag: the output's last term; the XOR restarts after it.
+const END: u32 = 1 << 31;
+/// `Term::ctl` bits holding the destination slot.
+const DST: u32 = END - 1;
+
+/// Masks of the Möbius transform's butterfly steps: step *i* folds
+/// every truth-table row with variable *i* set onto its partner row.
+const MOBIUS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The ANF of a truth table over `vars` variables: bit *m* of the
+/// result is the coefficient of the monomial of the variables set in
+/// *m*. Over 5 variables the two 32-bit halves transform
+/// independently, which is exactly a fractured LUT's O5/O6 pair.
+fn anf(table: u64, vars: usize) -> u64 {
+    MOBIUS[..vars].iter().enumerate().fold(table, |t, (i, &m)| t ^ ((t << (1 << i)) & m))
 }
 
-/// Selects one row per lane from a plane set: `planes[r]` bit *i* is
-/// lane *i*'s table bit at row `r`; `addr[p]` bit *i* is lane *i*'s
-/// pin `p`. Standard binary reduction: each level folds the planes in
-/// half with a word-wide mux on the next address bit.
-fn mux_tree(planes: &[u64], addr: impl Fn(usize) -> u64) -> u64 {
-    debug_assert!(planes.len().is_power_of_two());
-    if planes.len() == 1 {
-        return planes[0];
+/// A value-slot index in the term encoding.
+fn slot(i: usize) -> u32 {
+    let s = u32::try_from(i).expect("slot fits the term encoding");
+    assert!(s <= DST, "slot {s} past the term encoding");
+    s
+}
+
+/// One product term of a compiled LUT output: the AND of
+/// [`TERM_LITS`] value slots (padded with the all-ones slot), XORed
+/// into the running output, which is stored to the `ctl` destination.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    lits: [u32; TERM_LITS],
+    ctl: u32,
+}
+
+/// Transposes an 8 × 8 bit matrix held one row per byte: bit *c* of
+/// byte *r* moves to bit *r* of byte *c*.
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Turns 64 per-lane 32-bit words into 32 lane words: bit *l* of
+/// `out[b]` is bit *b* of `words[l]`. The two 32 × 32 blocks (lanes
+/// 0–31 in the low halves, 32–63 in the high halves) transpose side
+/// by side in five block-swap rounds.
+fn transpose_lanes(words: &[u32; GANG_LANES]) -> [u64; 32] {
+    let mut rows = [0u64; 32];
+    for (k, row) in rows.iter_mut().enumerate() {
+        *row = u64::from(words[k]) | (u64::from(words[k + 32]) << 32);
     }
-    // The first level folds straight out of `planes`, so the planes
-    // are read once instead of copied wholesale into scratch first.
-    let mut scratch = [0u64; 32];
-    let a = addr(0);
-    let mut n = planes.len() / 2;
-    for r in 0..n {
-        scratch[r] = (planes[2 * r] & !a) | (planes[2 * r + 1] & a);
-    }
-    let mut level = 1;
-    while n > 1 {
-        let a = addr(level);
-        for r in 0..n / 2 {
-            scratch[r] = (scratch[2 * r] & !a) | (scratch[2 * r + 1] & a);
+    // Round `j` swaps the off-diagonal j × j blocks of every 2j × 2j
+    // block: bit c + j of row k with bit c of row k + j.
+    let mut mask = 0x0000_FFFF_0000_FFFFu64;
+    for j in [16, 8, 4, 2, 1] {
+        for block in rows.chunks_exact_mut(2 * j) {
+            let (lo, hi) = block.split_at_mut(j);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let t = ((*a >> j) ^ *b) & mask;
+                *b ^= t;
+                *a ^= t << j;
+            }
         }
-        n /= 2;
-        level += 1;
+        mask ^= mask << (j / 2);
     }
-    scratch[0]
+    rows
 }
 
 /// Up to 64 configured devices clocked in lockstep.
@@ -80,8 +129,14 @@ fn mux_tree(planes: &[u64], addr: impl Fn(usize) -> u64) -> u64 {
 pub struct GangConfiguredFpga<'a> {
     fpga: &'a Fpga,
     lanes: usize,
-    luts: Vec<GangLut>,
-    /// Per-net lane words; bit *i* is lane *i*'s value.
+    /// Every LUT output's product terms, in evaluation order.
+    terms: Vec<Term>,
+    /// `(terms before it, BRAM index)` for each block RAM, in
+    /// evaluation order.
+    brams: Vec<(usize, usize)>,
+    /// Value slots, one lane word each: the nets, the all-ones and
+    /// all-zeros slots, then the lane mask of each INIT group of every
+    /// blended cell and the stored tail of every long product.
     values: Vec<u64>,
     /// FF double buffer, index-aligned with `db.ffs`.
     latch: Vec<u64>,
@@ -119,6 +174,83 @@ impl Fpga {
     }
 }
 
+/// A pass being compiled: the term list and the value slots it reads.
+struct Compiler {
+    terms: Vec<Term>,
+    /// The output being compiled, held back while its long products
+    /// store their tails (reused across outputs).
+    body: Vec<Term>,
+    values: Vec<u64>,
+    /// The all-ones slot; the all-zeros slot follows it.
+    one: u32,
+}
+
+impl Compiler {
+    /// Value slots for `net_count` nets, then the all-ones and
+    /// all-zeros slots.
+    fn new(net_count: usize, luts: usize) -> Self {
+        let mut values = vec![0u64; net_count + 2];
+        values[net_count] = u64::MAX;
+        Self { terms: Vec::with_capacity(8 * luts), body: Vec::new(), values, one: slot(net_count) }
+    }
+
+    /// A fresh value slot holding `word`.
+    fn new_slot(&mut self, word: u64) -> u32 {
+        self.values.push(word);
+        slot(self.values.len() - 1)
+    }
+
+    /// Appends the products of one LUT output. `groups` holds each INIT
+    /// group's ANF with its lane-mask slot (`None` when one INIT serves
+    /// every lane); `pins` holds the slots of the connected pins, so a
+    /// monomial naming a pin past them reads an unconnected (low) pin
+    /// and drops out. An output with no product left is constant 0. A
+    /// product longer than [`TERM_LITS`] first stores the AND of its
+    /// trailing literals in a fresh slot, ahead of the output's terms.
+    fn output(&mut self, dst: u32, pins: &[u32], groups: &[(u64, Option<u32>)]) {
+        let one = self.one;
+        let connected = if pins.len() == 6 { u64::MAX } else { (1u64 << (1 << pins.len())) - 1 };
+        let window = |lits: &[u32], k: usize| -> [u32; TERM_LITS] {
+            lits[k..k + TERM_LITS].try_into().expect("a full window")
+        };
+        self.body.clear();
+        for &(anf, mask) in groups {
+            let mut monomials = anf & connected;
+            while monomials != 0 {
+                // A mask literal, then one literal per pin of the
+                // monomial, padded with the all-ones slot (so the empty
+                // product reads all ones).
+                let mut lits = [one; 3 + TERM_LITS];
+                let mut len = 0;
+                if let Some(mask) = mask {
+                    lits[0] = mask;
+                    len = 1;
+                }
+                let mut m = monomials.trailing_zeros();
+                monomials &= monomials - 1;
+                while m != 0 {
+                    lits[len] = pins[m.trailing_zeros() as usize];
+                    m &= m - 1;
+                    len += 1;
+                }
+                if len > TERM_LITS {
+                    // The literals from the fourth on go first into a
+                    // slot of their own, which stands in for them.
+                    let temp = self.new_slot(0);
+                    self.terms.push(Term { lits: window(&lits, 3), ctl: temp | END });
+                    lits[3] = temp;
+                }
+                self.body.push(Term { lits: window(&lits, 0), ctl: dst });
+            }
+        }
+        if self.body.is_empty() {
+            self.body.push(Term { lits: [one + 1, one, one, one], ctl: dst });
+        }
+        self.body.last_mut().expect("at least one term").ctl |= END;
+        self.terms.extend_from_slice(&self.body);
+    }
+}
+
 impl<'a> GangConfiguredFpga<'a> {
     /// Builds a gang from already-decoded per-lane INIT vectors (one
     /// `Vec<DualOutputInit>` per lane, as returned by
@@ -140,64 +272,68 @@ impl<'a> GangConfiguredFpga<'a> {
         for (i, lane) in lanes.iter().enumerate() {
             assert_eq!(lane.len(), db.luts.len(), "lane {i} INIT count");
         }
-        let luts = db
-            .luts
-            .iter()
-            .enumerate()
-            .map(|(cell_idx, cell)| {
-                // Batched oracle queries differ from their reference
-                // lane in at most a couple of LUTs, so most cells
-                // carry the same INIT in every lane: evaluate lane 0's
-                // tables once and broadcast the row bit to every lane
-                // with a matching INIT; only divergent lanes pay a
-                // per-lane evaluation.
-                let base = lanes[0][cell_idx];
-                let mut broadcast = 0u64;
-                for (lane_idx, lane) in lanes.iter().enumerate() {
-                    if lane[cell_idx] == base {
-                        broadcast |= 1 << lane_idx;
-                    }
+        let mut c = Compiler::new(fpga.net_count, db.luts.len());
+        let mut brams = Vec::with_capacity(db.brams.len());
+        // Batched queries differ from lane 0 in a few cells: one
+        // sequential sweep per lane finds them, so every other cell
+        // skips the per-lane grouping.
+        let mut diverges = vec![false; db.luts.len()];
+        for lane in &lanes[1..] {
+            for ((d, a), b) in diverges.iter_mut().zip(lane).zip(&lanes[0]) {
+                *d |= a != b;
+            }
+        }
+        let all = u64::MAX >> (GANG_LANES - lanes.len());
+        // The cell being compiled: its lane groups as (INIT, lane
+        // mask), then each group's ANF and mask slot.
+        let mut groups = [(DualOutputInit::default(), 0u64); GANG_LANES];
+        let mut anfs = [(0u64, None); GANG_LANES];
+        for &step in &fpga.order {
+            let i = match step {
+                EvalStep::Lut(i) => i,
+                EvalStep::Bram(i) => {
+                    brams.push((c.terms.len(), i));
+                    continue;
                 }
-                let rest =
-                    || lanes.iter().enumerate().filter(move |(i, _)| (broadcast >> i) & 1 == 0);
-                if cell.o5.is_none() {
-                    let mut planes = Box::new([0u64; 64]);
-                    let table = base.o6();
-                    for (r, plane) in planes.iter_mut().enumerate() {
-                        if table.eval(r as u8) {
-                            *plane |= broadcast;
-                        }
-                    }
-                    for (lane_idx, lane) in rest() {
-                        let table = lane[cell_idx].o6();
-                        for (r, plane) in planes.iter_mut().enumerate() {
-                            *plane |= u64::from(table.eval(r as u8)) << lane_idx;
-                        }
-                    }
-                    GangLut::Single { planes }
-                } else {
-                    let mut o5 = Box::new([0u64; 32]);
-                    let mut o6 = Box::new([0u64; 32]);
-                    let (b5, b6) = (base.o5(), base.o6_fractured());
-                    for r in 0..32u8 {
-                        o5[usize::from(r)] |= u64::from(b5.eval(r)) * broadcast;
-                        o6[usize::from(r)] |= u64::from(b6.eval(r)) * broadcast;
-                    }
-                    for (lane_idx, lane) in rest() {
-                        let t5 = lane[cell_idx].o5();
-                        let t6 = lane[cell_idx].o6_fractured();
-                        for r in 0..32u8 {
-                            o5[usize::from(r)] |= u64::from(t5.eval(r)) << lane_idx;
-                            o6[usize::from(r)] |= u64::from(t6.eval(r)) << lane_idx;
-                        }
-                    }
-                    GangLut::Fractured { o5, o6 }
+            };
+            let cell = &db.luts[i];
+            let mut n = 1;
+            groups[0] = (lanes[0][i], all);
+            if diverges[i] {
+                groups[0].1 = 0;
+                for (lane, inits) in lanes.iter().enumerate() {
+                    let init = inits[i];
+                    let g = groups[..n].iter().position(|&(g, _)| g == init).unwrap_or_else(|| {
+                        groups[n] = (init, 0);
+                        n += 1;
+                        n - 1
+                    });
+                    groups[g].1 |= 1 << lane;
                 }
-            })
-            .collect();
+            }
+            // A cell held by one INIT in every lane needs no mask;
+            // otherwise each group's lane mask gets a value slot.
+            let vars = if cell.o5.is_some() { 5 } else { 6 };
+            for (anf_g, &(init, mask)) in anfs.iter_mut().zip(&groups[..n]) {
+                *anf_g = (anf(init.init(), vars), (n > 1).then(|| c.new_slot(mask)));
+            }
+            let mut pins = [0u32; 6];
+            let pins = &mut pins[..cell.inputs.len().min(vars)];
+            for (pin, net) in pins.iter_mut().zip(&cell.inputs) {
+                *pin = slot(net.index());
+            }
+            // Fractured cells share pins a1..a5: O5 reads the ANF's
+            // low half (the pin mask drops the high one), O6 the high.
+            for dst in [cell.o5, Some(cell.o6)].into_iter().flatten() {
+                c.output(slot(dst.index()), pins, &anfs[..n]);
+                for (a, _) in &mut anfs[..n] {
+                    *a >>= 32;
+                }
+            }
+        }
+        let Compiler { terms, mut values, .. } = c;
         // Power-up state is lane-independent: FF INITs and ties come
         // from the static database, so a set bit fills every lane.
-        let mut values = vec![0u64; fpga.net_count];
         for ff in &db.ffs {
             if ff.init {
                 values[ff.q.index()] = u64::MAX;
@@ -209,7 +345,7 @@ impl<'a> GangConfiguredFpga<'a> {
             }
         }
         let latch = vec![0u64; db.ffs.len()];
-        Self { fpga, lanes: lanes.len(), luts, values, latch, clean: false, cycle: 0 }
+        Self { fpga, lanes: lanes.len(), terms, brams, values, latch, clean: false, cycle: 0 }
     }
 
     /// Number of active lanes (1..=[`GANG_LANES`]).
@@ -247,58 +383,17 @@ impl<'a> GangConfiguredFpga<'a> {
         nets.iter().enumerate().fold(0u32, |acc, (i, &n)| acc | (u32::from(self.net(lane, n)) << i))
     }
 
-    /// One word-wide combinational pass over the shared topological
-    /// order: lane-for-lane the same computation as the scalar
-    /// `evaluate`.
+    /// One word-wide combinational pass: the compiled terms run in
+    /// the shared topological order, broken only by the block RAMs —
+    /// lane-for-lane the same computation as the scalar `evaluate`.
     fn evaluate(&mut self) {
-        let db = &self.fpga.db;
-        for &step in &self.fpga.order {
-            match step {
-                EvalStep::Lut(i) => {
-                    let cell = &db.luts[i];
-                    let pin = |p: usize| {
-                        // Unconnected pins read low on every lane,
-                        // matching the scalar `addr & 0x3F` masking.
-                        cell.inputs.get(p).map_or(0u64, |net| self.values[net.index()])
-                    };
-                    match &self.luts[i] {
-                        GangLut::Single { planes } => {
-                            self.values[cell.o6.index()] = mux_tree(&planes[..], pin);
-                        }
-                        GangLut::Fractured { o5, o6 } => {
-                            let o5_word = mux_tree(&o5[..], pin);
-                            let o6_word = mux_tree(&o6[..], pin);
-                            self.values[cell.o5.expect("fractured cell has o5").index()] = o5_word;
-                            self.values[cell.o6.index()] = o6_word;
-                        }
-                    }
-                }
-                EvalStep::Bram(i) => {
-                    // Each lane addresses the shared ROM
-                    // independently, so the lookup is a per-lane
-                    // gather; the 32 data bits are then scattered
-                    // back as lane words.
-                    let cell = &db.brams[i];
-                    let mut data_words = [0u64; 32];
-                    debug_assert!(cell.data.len() <= data_words.len());
-                    for lane in 0..self.lanes {
-                        let mut a = 0usize;
-                        for (p, net) in cell.addr.iter().enumerate() {
-                            if (self.values[net.index()] >> lane) & 1 == 1 {
-                                a |= 1 << p;
-                            }
-                        }
-                        let word = cell.table[a];
-                        for (bit, slot) in data_words.iter_mut().enumerate().take(cell.data.len()) {
-                            *slot |= u64::from((word >> bit) & 1) << lane;
-                        }
-                    }
-                    for (bit, net) in cell.data.iter().enumerate() {
-                        self.values[net.index()] = data_words[bit];
-                    }
-                }
-            }
+        let mut start = 0;
+        for &(end, bram) in &self.brams {
+            run_terms(&self.terms[start..end], &mut self.values);
+            read_bram(&self.fpga.db.brams[bram], self.lanes, &mut self.values);
+            start = end;
         }
+        run_terms(&self.terms[start..], &mut self.values);
     }
 
     /// Runs one clock cycle on every lane with the current input
@@ -325,6 +420,42 @@ impl<'a> GangConfiguredFpga<'a> {
         for _ in 0..n {
             self.step();
         }
+    }
+}
+
+/// Runs compiled terms over the value slots without branching on the
+/// term shape: every term XORs the AND of its literals into the
+/// running output and stores it to its destination; the XOR restarts
+/// after an output's last term.
+fn run_terms(terms: &[Term], values: &mut [u64]) {
+    let mut sum = 0u64;
+    for t in terms {
+        let [a, b, c, d] = t.lits;
+        sum ^= values[a as usize] & values[b as usize] & values[c as usize] & values[d as usize];
+        values[(t.ctl & DST) as usize] = sum;
+        sum &= u64::from(t.ctl >> 31).wrapping_sub(1);
+    }
+}
+
+/// Reads a block RAM on every lane: each block of 8 lanes transposes
+/// its address bits into per-lane address bytes and reads the ROM once
+/// per lane; the 32 data bits then transpose back into lane words.
+fn read_bram(cell: &BramCellDb, lanes: usize, values: &mut [u64]) {
+    debug_assert!(cell.addr.len() <= 8 && cell.data.len() <= 32);
+    let mut words = [0u32; GANG_LANES];
+    for (block, words) in words.chunks_exact_mut(8).take(lanes.div_ceil(8)).enumerate() {
+        let shift = 8 * block;
+        let mut rows = 0u64;
+        for (p, net) in cell.addr.iter().enumerate() {
+            rows |= ((values[net.index()] >> shift) & 0xFF) << (8 * p);
+        }
+        let addrs = transpose8(rows).to_le_bytes();
+        for (word, &a) in words.iter_mut().zip(&addrs) {
+            *word = cell.table[usize::from(a)];
+        }
+    }
+    for (net, word) in cell.data.iter().zip(transpose_lanes(&words)) {
+        values[net.index()] = word;
     }
 }
 
@@ -433,6 +564,58 @@ mod tests {
         let range = bad.fdri_data_range().expect("fdri");
         bad.as_mut_bytes()[range.start + 1] ^= 0x10; // break the CRC
         assert!(fpga.program_gang(&[&good, &bad]).is_err());
+    }
+
+    /// The ANF evaluated at every row rebuilds the truth table: a row
+    /// is the XOR of the coefficients of the monomials it covers.
+    #[test]
+    fn mobius_transform_inverts_to_the_truth_table() {
+        let mut state = 0x1234_5678_9ABC_DEF0u64;
+        let mut tables: Vec<u64> =
+            (0..6).map(|v| boolfn::TruthTable::var(6, v + 1).bits()).collect();
+        tables.extend([0, u64::MAX]);
+        tables.extend((0..64).map(|_| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            state ^ (state >> 29)
+        }));
+        for table in tables {
+            for (vars, rows) in [(6, 64u32), (5, 32)] {
+                let coeffs = anf(table, vars);
+                for half in 0..64 / rows {
+                    for row in 0..rows {
+                        let covered = (0..rows)
+                            .filter(|&m| m & row == m)
+                            .fold(0, |acc, m| acc ^ (coeffs >> (half * rows + m)) & 1);
+                        assert_eq!(
+                            covered,
+                            (table >> (half * rows + row)) & 1,
+                            "{table:#x} {vars}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposes_match_bit_by_bit_moves() {
+        let x = 0x0123_4567_89AB_CDEFu64;
+        let t = transpose8(x);
+        for r in 0..8 {
+            for c in 0..8 {
+                assert_eq!((t >> (8 * c + r)) & 1, (x >> (8 * r + c)) & 1);
+            }
+        }
+        let mut words = [0u32; GANG_LANES];
+        for (l, w) in words.iter_mut().enumerate() {
+            *w = (l as u32).wrapping_mul(0x9E37_79B9) ^ 0x5A5A_0F0F;
+        }
+        let lanes = transpose_lanes(&words);
+        for (b, lane_word) in lanes.iter().enumerate() {
+            for (l, w) in words.iter().enumerate() {
+                assert_eq!((lane_word >> l) & 1, u64::from((w >> b) & 1), "bit {b} lane {l}");
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@ impl Rng {
 
 /// Builds a random layered (hence cycle-free) device on either INIT
 /// layout: primary inputs and FF outputs feed LUT layers placed on
-/// random distinct sites; a BRAM sits mid-cone; FF D inputs close the
-/// sequential loop over arbitrary nets.
+/// random distinct sites; a BRAM (1–8 address bits, 1–32 data bits)
+/// sits mid-cone; FF D inputs close the sequential loop over
+/// arbitrary nets.
 pub fn random_device(seed: u64) -> (Fpga, Vec<NodeId>) {
     let mut rng = Rng(seed);
     let geometry = if rng.below(2) == 0 {
@@ -71,8 +72,9 @@ pub fn random_device(seed: u64) -> (Fpga, Vec<NodeId>) {
         for w in table.iter_mut() {
             *w = rng.next() as u32;
         }
-        let addr: Vec<NodeId> = (0..8).map(|_| pool[rng.below(pool.len())]).collect();
-        let data: Vec<NodeId> = (0..32).map(|_| fresh()).collect();
+        let addr: Vec<NodeId> =
+            (0..1 + rng.below(8)).map(|_| pool[rng.below(pool.len())]).collect();
+        let data: Vec<NodeId> = (0..1 + rng.below(32)).map(|_| fresh()).collect();
         pool.extend(&data);
         brams.push(BramCellDb { table, addr, data });
     }

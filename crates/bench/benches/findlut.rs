@@ -1,8 +1,8 @@
 //! FINDLUT performance (Section VI-B: "For bitstreams of size less
 //! than 10MB and k = 6, our tool takes less than 4 sec to execute for
 //! a given f"), the multi-candidate one-pass `Scanner` vs the legacy
-//! per-candidate loop, the naive-vs-optimized ablation, and the
-//! Section VII-B half scan.
+//! per-candidate loop, the candidate index's build alone, the
+//! naive-vs-optimized ablation, and the Section VII-B half scan.
 
 use bench::{payload_of, synthetic_payload, test_board};
 use bitmod::countermeasure::xor_half_scan;
@@ -87,6 +87,16 @@ fn bench_multi_candidate_scan(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_index_build(c: &mut Criterion) {
+    // The candidate index every attack session compiles before its
+    // scan: 720 permutations of each Table II shape, timed apart from
+    // any payload.
+    let cat = Catalogue::full();
+    c.bench_function("findlut/index-build", |b| {
+        b.iter(|| Scanner::builder().k(6).catalogue(&cat).build().unwrap());
+    });
+}
+
 fn bench_naive_vs_optimized(c: &mut Criterion) {
     // Ablation: the literal Algorithm 1 transcription vs the
     // hash-decoded single pass (same results, see property tests).
@@ -127,6 +137,7 @@ criterion_group!(
     bench_findlut_real_bitstream,
     bench_findlut_scaling,
     bench_multi_candidate_scan,
+    bench_index_build,
     bench_naive_vs_optimized,
     bench_xor_half_scan
 );

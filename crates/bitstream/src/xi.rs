@@ -32,6 +32,54 @@ pub fn xi(i: u8) -> u8 {
     b
 }
 
+/// One direction of ξ as byte-indexed lookups: `t[j][v]` is where the
+/// set bits of `v`, read as byte `j` of the input, land in the output.
+/// Because ξ moves bits, the image of a word is the OR (equally, the
+/// XOR) of its eight bytes' images.
+type ByteTables = [[u64; 256]; 8];
+
+/// Builds the byte tables of the bit move `from bit i to bit to[i]`.
+const fn byte_tables(to: &[u8; 64]) -> ByteTables {
+    let mut t = [[0u64; 256]; 8];
+    let mut j = 0;
+    while j < 8 {
+        let mut v = 0;
+        while v < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if (v >> bit) & 1 == 1 {
+                    t[j][v] |= 1 << to[8 * j + bit];
+                }
+                bit += 1;
+            }
+            v += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// ξ⁻¹ as a bit move: `XI_INVERSE[b]` is the truth-table row stored at
+/// bit `b` of `B`.
+const XI_INVERSE: [u8; 64] = {
+    let mut inv = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        inv[XI_TABLE[i] as usize] = i as u8;
+        i += 1;
+    }
+    inv
+};
+
+static FORWARD: ByteTables = byte_tables(&XI_TABLE);
+static INVERSE: ByteTables = byte_tables(&XI_INVERSE);
+
+/// Moves the bits of `x` through one direction's byte tables.
+#[inline]
+fn through(t: &ByteTables, x: u64) -> u64 {
+    x.to_le_bytes().iter().zip(t).fold(0, |acc, (&v, row)| acc | row[usize::from(v)])
+}
+
 /// Applies ξ to a full 64-bit truth table: bit `i` of `f` moves to
 /// bit `ξ(i)` of the result.
 ///
@@ -46,25 +94,13 @@ pub fn xi(i: u8) -> u8 {
 /// ```
 #[must_use]
 pub fn permute(f: u64) -> u64 {
-    let mut b = 0u64;
-    for i in 0..64u8 {
-        if (f >> i) & 1 == 1 {
-            b |= 1 << XI_TABLE[i as usize];
-        }
-    }
-    b
+    through(&FORWARD, f)
 }
 
 /// Inverts ξ: recovers the truth table from the permuted vector.
 #[must_use]
 pub fn unpermute(b: u64) -> u64 {
-    let mut f = 0u64;
-    for i in 0..64u8 {
-        if (b >> XI_TABLE[i as usize]) & 1 == 1 {
-            f |= 1 << i;
-        }
-    }
-    f
+    through(&INVERSE, b)
 }
 
 #[cfg(test)]

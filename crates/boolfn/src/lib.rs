@@ -40,7 +40,7 @@ pub mod truth;
 pub use dual::DualOutputInit;
 pub use expr::Expr;
 pub use perm::Permutation;
-pub use truth::TruthTable;
+pub use truth::{SwapNetwork, TruthTable};
 
 /// Maximum number of LUT inputs supported by this crate (Xilinx 7-series
 /// LUTs have six inputs).

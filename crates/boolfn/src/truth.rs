@@ -218,26 +218,16 @@ impl TruthTable {
     /// `g(a_1, ..., a_k) = f(a_{perm(1)}, ..., a_{perm(k)})`.
     ///
     /// In other words, input position `j` of the new function is wired
-    /// to what used to be input `perm(j)` of `f`.
+    /// to what used to be input `perm(j)` of `f`. The table is permuted
+    /// by the permutation's [`SwapNetwork`]; build that once to apply
+    /// one permutation to many tables.
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the variable count.
     #[must_use]
     pub fn permute(self, perm: &Permutation) -> Self {
-        assert_eq!(perm.len() as u8, self.k, "permutation length mismatch");
-        Self::from_fn(self.k, |i| {
-            // Build the input to f: f's argument j receives the value
-            // presented at g's position where perm maps it.
-            let mut src = 0u8;
-            for (j, &p) in perm.as_slice().iter().enumerate() {
-                // g's input position j feeds f's input position p.
-                if (i >> j) & 1 == 1 {
-                    src |= 1 << p;
-                }
-            }
-            self.eval(src)
-        })
+        SwapNetwork::new(perm).apply(self)
     }
 
     /// Extends the function to `k_new >= k` variables; the added
@@ -299,6 +289,82 @@ impl TruthTable {
         } else {
             None
         }
+    }
+}
+
+/// The projection tables `a1..a6` over 64 rows: bit `i` of `VAR[v]`
+/// is bit `v` of `i`.
+const VAR: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// An input permutation compiled into a delta-swap network over the
+/// 64-bit truth table: one masked shift-XOR per transposition of input
+/// positions, at most `k - 1` of them.
+///
+/// Swapping inputs `a < b` exchanges every row with `a` set and `b`
+/// clear (mask `VAR[a] & !VAR[b]`) with the row `2^b - 2^a` above it.
+/// The network sorts the identity wiring into the permutation's by
+/// selection, one swap per misplaced position.
+///
+/// # Example
+///
+/// ```
+/// use boolfn::{Permutation, SwapNetwork, TruthTable};
+///
+/// let f = TruthTable::new(3, 0b1000_0110);
+/// let p = Permutation::from_slice(&[2, 0, 1]).unwrap();
+/// assert_eq!(SwapNetwork::new(&p).apply(f), f.permute(&p));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwapNetwork {
+    /// `(mask, shift)` per swap, in application order.
+    swaps: [(u64, u32); MAX_VARS as usize - 1],
+    len: u8,
+    k: u8,
+}
+
+impl SwapNetwork {
+    /// Compiles `perm` (see [`TruthTable::permute`] for its meaning).
+    #[must_use]
+    pub fn new(perm: &Permutation) -> Self {
+        let k = perm.len();
+        let mut net = Self { swaps: [(0, 0); MAX_VARS as usize - 1], len: 0, k: k as u8 };
+        // `wired[j]` is the input of `f` that position `j` of the
+        // partly permuted table reads.
+        let mut wired: [u8; MAX_VARS as usize] = core::array::from_fn(|j| j as u8);
+        for a in 0..k {
+            let want = perm.apply(a as u8);
+            if wired[a] == want {
+                continue;
+            }
+            let b = (a + 1..k).find(|&b| wired[b] == want).expect("a permutation");
+            net.swaps[usize::from(net.len)] = (VAR[a] & !VAR[b], (1 << b) - (1 << a));
+            net.len += 1;
+            wired.swap(a, b);
+        }
+        net
+    }
+
+    /// Applies the permutation to `f`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation length differs from the variable count.
+    #[must_use]
+    pub fn apply(&self, f: TruthTable) -> TruthTable {
+        assert_eq!(self.k, f.k, "permutation length mismatch");
+        let mut x = f.bits;
+        for &(mask, shift) in &self.swaps[..usize::from(self.len)] {
+            let t = ((x >> shift) ^ x) & mask;
+            x ^= t ^ (t << shift);
+        }
+        TruthTable { bits: x, k: f.k }
     }
 }
 

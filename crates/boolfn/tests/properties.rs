@@ -1,7 +1,7 @@
 //! Property tests on the Boolean-function substrate.
 
 use boolfn::expr::var;
-use boolfn::{pclass, DualOutputInit, Permutation, TruthTable};
+use boolfn::{pclass, DualOutputInit, Permutation, SwapNetwork, TruthTable};
 use proptest::prelude::*;
 
 fn arb_perm(k: u8) -> impl Strategy<Value = Permutation> {
@@ -15,8 +15,48 @@ fn arb_perm(k: u8) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// A Fisher–Yates shuffle of `0..k` driven by an xorshift state.
+fn shuffled(k: u8, state: &mut u64) -> Permutation {
+    let mut v: Vec<u8> = (0..k).collect();
+    for i in (1..v.len()).rev() {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        v.swap(i, (*state % (i as u64 + 1)) as usize);
+    }
+    Permutation::from_slice(&v).expect("valid")
+}
+
+/// The permutation semantics evaluated row by row: row `i` of the
+/// result reads `f` at the row whose input `perm(j)` is bit `j` of `i`.
+fn permute_rows(f: TruthTable, perm: &Permutation) -> TruthTable {
+    TruthTable::from_fn(f.num_vars(), |i| {
+        let src = perm
+            .as_slice()
+            .iter()
+            .enumerate()
+            .fold(0u8, |src, (j, &p)| src | (((i >> j) & 1) << p));
+        f.eval(src)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn delta_swap_permute_equals_row_by_row(bits in any::<u64>(), seed in any::<u64>()) {
+        let mut state = seed | 1;
+        for k in 1u8..=6 {
+            let f = TruthTable::new(k, bits);
+            let p = shuffled(k, &mut state);
+            let q = shuffled(k, &mut state);
+            let g = f.permute(&p);
+            prop_assert_eq!(g, permute_rows(f, &p));
+            prop_assert_eq!(SwapNetwork::new(&p).apply(f), g);
+            prop_assert_eq!(g.permute(&q), f.permute(&p.compose(&q)));
+            prop_assert_eq!(g.permute(&q), permute_rows(permute_rows(f, &p), &q));
+        }
+    }
 
     #[test]
     fn permute_respects_composition(bits in any::<u64>(), p in arb_perm(6), q in arb_perm(6)) {

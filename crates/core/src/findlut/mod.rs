@@ -7,7 +7,7 @@
 //!
 //! * every input permutation of every candidate is ξ-permuted,
 //!   partitioned into stored sub-vectors per sub-vector order, and
-//!   deduplicated into a single hash index keyed by the packed stored
+//!   deduplicated into a single index keyed by the packed stored
 //!   sub-vectors ([`index`]);
 //! * byte positions are then scanned in parallel over frame-aligned
 //!   chunks, each position costing one 8-byte strided read and at most
@@ -31,8 +31,6 @@
 //! every byte position and applies an arbitrary predicate to its two
 //! halves. The free function [`scan_halves`] is the sequential
 //! equivalent for non-[`Sync`] predicates.
-
-use std::collections::HashMap;
 
 use boolfn::{DualOutputInit, Permutation, TruthTable};
 
@@ -116,18 +114,6 @@ pub(crate) fn extend_permutation(p: &Permutation, k: u8) -> Permutation {
     Permutation::from_slice(&full).expect("valid permutation")
 }
 
-/// Builds the deduplicated map from permuted truth table to the
-/// minimal-rank permutation producing it.
-pub(crate) fn permuted_tables(f: TruthTable, k: u8) -> HashMap<u64, Permutation> {
-    let f6 = f.extend(6);
-    let mut map = HashMap::new();
-    for p in Permutation::all(k) {
-        let p6 = extend_permutation(&p, k);
-        map.entry(f6.permute(&p6).bits()).or_insert(p);
-    }
-    map
-}
-
 #[inline]
 pub(crate) fn pack_stored(s: [u16; 4]) -> u64 {
     u64::from(s[0]) | (u64::from(s[1]) << 16) | (u64::from(s[2]) << 32) | (u64::from(s[3]) << 48)
@@ -158,10 +144,12 @@ pub fn rematch_at(
     if l + 3 * d + 2 > data.len() {
         return None;
     }
-    let tables = permuted_tables(f, 6);
     let stored = stored_at(data, l, d);
     let init = codec::decode(stored, order);
-    tables.get(&init.init()).map(|&perm| LutHit { l, order, perm, init })
+    // The first permutation in rank order is the one the search reports.
+    let f6 = f.extend(6);
+    let perm = Permutation::all(6).find(|p| f6.permute(p).bits() == init.init())?;
+    Some(LutHit { l, order, perm, init })
 }
 
 #[cfg(test)]

@@ -213,9 +213,10 @@ impl Snow3gBoard {
             gang.run(WARMUP_CYCLES);
             for _ in 0..words {
                 gang.step();
-                for (lane, &slot) in slots.iter().enumerate() {
+                let z = gang.lane_words(&self.z_nets);
+                for (&word, &slot) in z.iter().zip(slots) {
                     if let Ok(zs) = &mut out[slot] {
-                        zs.push(gang.word(lane, &self.z_nets));
+                        zs.push(word);
                     }
                 }
             }

@@ -95,14 +95,19 @@ fn transpose8(mut x: u64) -> u64 {
 }
 
 /// Turns 64 per-lane 32-bit words into 32 lane words: bit *l* of
-/// `out[b]` is bit *b* of `words[l]`. The two 32 × 32 blocks (lanes
-/// 0–31 in the low halves, 32–63 in the high halves) transpose side
-/// by side in five block-swap rounds.
+/// `out[b]` is bit *b* of `words[l]`.
 fn transpose_lanes(words: &[u32; GANG_LANES]) -> [u64; 32] {
-    let mut rows = [0u64; 32];
-    for (k, row) in rows.iter_mut().enumerate() {
-        *row = u64::from(words[k]) | (u64::from(words[k + 32]) << 32);
-    }
+    let mut rows: [u64; 32] =
+        core::array::from_fn(|k| u64::from(words[k]) | (u64::from(words[k + 32]) << 32));
+    transpose_halves(&mut rows);
+    rows
+}
+
+/// Transposes the two 32 × 32 bit blocks of `rows` (the low and the
+/// high halves) side by side in five block-swap rounds: bit *c* of
+/// row *r* moves to bit *r* of row *c* within each half. It is its
+/// own inverse, so it turns lane words back into per-lane words too.
+fn transpose_halves(rows: &mut [u64; 32]) {
     // Round `j` swaps the off-diagonal j × j blocks of every 2j × 2j
     // block: bit c + j of row k with bit c of row k + j.
     let mut mask = 0x0000_FFFF_0000_FFFFu64;
@@ -117,7 +122,6 @@ fn transpose_lanes(words: &[u32; GANG_LANES]) -> [u64; 32] {
         }
         mask ^= mask << (j / 2);
     }
-    rows
 }
 
 /// Up to 64 configured devices clocked in lockstep.
@@ -383,6 +387,25 @@ impl<'a> GangConfiguredFpga<'a> {
         nets.iter().enumerate().fold(0u32, |acc, (i, &n)| acc | (u32::from(self.net(lane, n)) << i))
     }
 
+    /// Reads up to 32 nets on every lane at once, LSB first: `out[l]`
+    /// is `self.word(l, nets)`, by one 32 × 64 transpose instead of
+    /// per-lane bit reads. Entries past [`Self::lanes`] are
+    /// unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 32 nets are given.
+    #[must_use]
+    pub fn lane_words(&self, nets: &[NetId]) -> [u32; GANG_LANES] {
+        assert!(nets.len() <= 32, "a word holds at most 32 nets");
+        let mut rows = [0u64; 32];
+        for (row, net) in rows.iter_mut().zip(nets) {
+            *row = self.values[net.index()];
+        }
+        transpose_halves(&mut rows);
+        core::array::from_fn(|l| (rows[l % 32] >> (32 * (l / 32))) as u32)
+    }
+
     /// One word-wide combinational pass: the compiled terms run in
     /// the shared topological order, broken only by the block RAMs —
     /// lane-for-lane the same computation as the scalar `evaluate`.
@@ -556,6 +579,26 @@ mod tests {
     }
 
     #[test]
+    fn lane_words_match_per_lane_words() {
+        let fpga = tiny();
+        let xor = boolfn::TruthTable::var(6, 1).xor(boolfn::TruthTable::var(6, 2)).bits();
+        let and = boolfn::TruthTable::var(6, 1).and(boolfn::TruthTable::var(6, 2)).bits();
+        let inv = boolfn::TruthTable::var(6, 1).not().bits();
+        let streams: Vec<Bitstream> =
+            [xor, and, 0, xor].iter().map(|&i| bitstream_for(&fpga, i, inv)).collect();
+        let refs: Vec<&Bitstream> = streams.iter().collect();
+        let mut gang = fpga.program_gang(&refs).expect("programs");
+        let nets = [n(2), n(3), n(0), n(1), n(2)];
+        for _ in 0..6 {
+            gang.step();
+            let words = gang.lane_words(&nets);
+            for (lane, &w) in words.iter().enumerate().take(gang.lanes()) {
+                assert_eq!(w, gang.word(lane, &nets), "lane {lane} cycle {}", gang.cycle());
+            }
+        }
+    }
+
+    #[test]
     fn bad_lane_aborts_program_gang() {
         let fpga = tiny();
         let inv = boolfn::TruthTable::var(6, 1).not().bits();
@@ -615,6 +658,11 @@ mod tests {
             for (l, w) in words.iter().enumerate() {
                 assert_eq!((lane_word >> l) & 1, u64::from((w >> b) & 1), "bit {b} lane {l}");
             }
+        }
+        let mut back = lanes;
+        transpose_halves(&mut back);
+        for (l, w) in words.iter().enumerate() {
+            assert_eq!((back[l % 32] >> (32 * (l / 32))) as u32, *w, "lane {l}");
         }
     }
 

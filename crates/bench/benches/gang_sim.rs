@@ -1,12 +1,12 @@
-//! Gang-simulator costs: 64 scalar board loads versus one 64-lane
-//! bit-parallel batch over the same bitstreams — the core ratio the
-//! batched oracle pipeline's speedup comes from — and the same batch
-//! as one full load plus 63 partial lanes, which adds the configure
-//! step's delta cost next to the gang stepping. The partial lanes come
-//! in two shapes: a chain that edits one more LUT per lane, and lanes
-//! each one LUT off the golden (the attack's batch shape). Last, one
-//! lane through each simulator: the scalar board load against a
-//! one-lane gang.
+//! Gang-simulator costs: 64 lone board loads (each a one-lane pass)
+//! versus one 64-lane bit-parallel batch over the same bitstreams —
+//! the core ratio the batched oracle pipeline's speedup comes from —
+//! and the same batch as one full load plus 63 partial lanes, which
+//! adds the configure step's delta cost next to the gang stepping.
+//! The partial lanes come in two shapes: a chain that edits one more
+//! LUT per lane, and lanes each one LUT off the golden (the attack's
+//! batch shape). Last, one lane two ways: a lone board load against a
+//! one-lane gang driven directly.
 
 use bench::test_board;
 use bitstream::{codec, Bitstream, PartialBitstream, PartialForge};
@@ -64,7 +64,7 @@ fn bench_keystream(c: &mut Criterion) {
         core::iter::once(Load::Full(&golden)).chain(chain.iter().map(Load::Partial)).collect();
     let mut g = c.benchmark_group("gang/keystream-16-words");
     g.sample_size(10);
-    g.bench_function("scalar-x64", |b| {
+    g.bench_function("lone-lane-x64", |b| {
         b.iter(|| {
             for &lane in &batch {
                 board.load(&[lane], WORDS).pop().expect("one lane").expect("runs");
@@ -98,9 +98,9 @@ fn bench_keystream(c: &mut Criterion) {
             }
         });
     });
-    // One lane each: `load` runs a lone lane on the scalar simulator,
-    // so the one-lane gang is driven directly, configure included.
-    g.bench_function("scalar-x1", |b| {
+    // One lane each: a lone board load (configure, latch the partial
+    // base, one-lane pass), and the one-lane gang driven directly.
+    g.bench_function("lone-lane", |b| {
         b.iter(|| board.load(&batch[..1], WORDS).pop().expect("one lane").expect("runs"));
     });
     let fpga = board.fpga();

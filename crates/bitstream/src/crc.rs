@@ -13,7 +13,7 @@ pub const POLY: u32 = 0x82F6_3B78;
 
 /// Runs `k` steps of the reflected LFSR with an all-zero bit feed.
 ///
-/// This is the kernel both lookup tables are built from: by linearity
+/// This is the kernel every lookup table is built from: by linearity
 /// of the LFSR over GF(2), feeding `k` data bits `b` from state `crc`
 /// equals `(crc >> k) ^ step_zero((crc ^ b) & mask_k, k)`.
 const fn step_zero(mut crc: u32, k: u32) -> u32 {
@@ -29,19 +29,51 @@ const fn step_zero(mut crc: u32, k: u32) -> u32 {
     crc
 }
 
-/// Byte-at-a-time table for the 32 data bits of a register write.
-const TABLE8: [u32; 256] = {
-    let mut t = [0u32; 256];
+/// Slicing-by-8 tables: `SLICE8[k][b]` is the state contribution of
+/// byte `b` fed with `k` more bytes still to follow it, so eight
+/// independent lookups retire eight bytes. `SLICE8[0]` is the plain
+/// byte-at-a-time table.
+static SLICE8: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        t[i] = step_zero(i as u32, 8);
+        t[0][i] = step_zero(i as u32, 8);
         i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// A whole register write folded into one step: `FOLD[j][b]` is what
+/// byte `j` of `state ^ word` contributes after all 37 steps (the 32
+/// data steps, then the 5 address steps). The state is fully shifted
+/// out after 32 steps, so by linearity the update is the XOR of four
+/// independent lookups plus the address's [`TABLE5`] term.
+static FOLD: [[u32; 256]; 4] = {
+    let mut t = [[0u32; 256]; 4];
+    let mut j = 0;
+    while j < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[j][b] = step_zero(step_zero((b as u32) << (8 * j), 32), 5);
+            b += 1;
+        }
+        j += 1;
     }
     t
 };
 
 /// Five-bit table for the register-address tail of a register write.
-const TABLE5: [u32; 32] = {
+static TABLE5: [u32; 32] = {
     let mut t = [0u32; 32];
     let mut i = 0;
     while i < 32 {
@@ -102,18 +134,17 @@ impl ConfigCrc {
     /// Feeds one register write: the 32 data bits followed by the
     /// 5 address bits.
     ///
-    /// Table-driven (four byte steps for the data word, one 5-bit
-    /// step for the address); bit-for-bit equivalent to the reference
-    /// 37-step LFSR loop, which the test suite pins.
+    /// One folded step: four byte lookups for the data word and one
+    /// 5-bit lookup for the address, none of which waits on another;
+    /// bit-for-bit equivalent to the reference 37-step LFSR loop,
+    /// which the test suite pins.
     pub fn update(&mut self, addr: u16, word: u32) {
-        let mut crc = self.state;
-        let mut w = word;
-        for _ in 0..4 {
-            crc = (crc >> 8) ^ TABLE8[((crc ^ w) & 0xFF) as usize];
-            w >>= 8;
-        }
-        crc = (crc >> 5) ^ TABLE5[((crc ^ u32::from(addr)) & 0x1F) as usize];
-        self.state = crc;
+        let [x0, x1, x2, x3] = (self.state ^ word).to_le_bytes();
+        self.state = FOLD[0][usize::from(x0)]
+            ^ FOLD[1][usize::from(x1)]
+            ^ FOLD[2][usize::from(x2)]
+            ^ FOLD[3][usize::from(x3)]
+            ^ TABLE5[usize::from(addr & 0x1F)];
     }
 
     /// The current CRC value.
@@ -150,18 +181,25 @@ impl ByteCrc {
         Self { state: u32::MAX }
     }
 
-    /// Feeds a slice of bytes.
+    /// Feeds a slice of bytes, eight at a time by slicing-by-8 and
+    /// the tail byte by byte.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let feed = crc & 1;
-                crc >>= 1;
-                if feed == 1 {
-                    crc ^= POLY;
-                }
-            }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in chunks.by_ref() {
+            let [b0, b1, b2, b3, b4, b5, b6, b7] = chunk.try_into().expect("8-byte chunk");
+            let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+            crc = SLICE8[7][usize::from(x0)]
+                ^ SLICE8[6][usize::from(x1)]
+                ^ SLICE8[5][usize::from(x2)]
+                ^ SLICE8[4][usize::from(x3)]
+                ^ SLICE8[3][usize::from(b4)]
+                ^ SLICE8[2][usize::from(b5)]
+                ^ SLICE8[1][usize::from(b6)]
+                ^ SLICE8[0][usize::from(b7)];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ SLICE8[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -316,6 +354,44 @@ mod tests {
                 );
                 mutated[i] ^= 1 << bit;
             }
+        }
+    }
+
+    /// The bit-serial reference: one LFSR step per bit, from the
+    /// un-finalised state.
+    fn byte_update_reference(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let feed = crc & 1;
+                crc >>= 1;
+                if feed == 1 {
+                    crc ^= POLY;
+                }
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn sliced_byte_crc_matches_the_bitwise_loop_at_any_split() {
+        let mut x = 0x0DDB_A11C_0FFE_E5EDu64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..300 {
+            let len = (next() % 600) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let split = (next() % (len as u64 + 1)) as usize;
+            let mut crc = ByteCrc::new();
+            crc.update(&bytes[..split]);
+            crc.update(&bytes[split..]);
+            let want = !byte_update_reference(u32::MAX, &bytes);
+            assert_eq!(crc.value(), want, "len {len} split {split}");
+            assert_eq!(ByteCrc::of(&bytes), want, "len {len}");
         }
     }
 

@@ -21,6 +21,45 @@ use crate::crc::ConfigCrc;
 use crate::image::Bitstream;
 use crate::packet::{CommandCode, Packet, RegisterAddress, NOP, SYNC_WORD};
 
+/// Bytes per block [`for_each_diff`] compares whole before it looks
+/// inside.
+const DIFF_BLOCK: usize = 256;
+
+/// Calls `at` with every position where the equal-length `a` and `b`
+/// differ, in increasing order, until `at` returns `false`; returns
+/// whether every call returned `true`. Configuration deltas differ in
+/// a handful of bytes, so the scan is dominated by equal blocks: one
+/// slice compare retires each equal 256-byte block, and a differing
+/// block is scanned 8 bytes at a time through `u64` compares.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length.
+pub fn for_each_diff(a: &[u8], b: &[u8], mut at: impl FnMut(usize) -> bool) -> bool {
+    assert_eq!(a.len(), b.len(), "diffed slices differ in length");
+    let mut scan = |from: usize, xa: &[u8], xb: &[u8]| {
+        xa.iter().zip(xb).enumerate().all(|(j, (x, y))| x == y || at(from + j))
+    };
+    for (block, (ba, bb)) in a.chunks(DIFF_BLOCK).zip(b.chunks(DIFF_BLOCK)).enumerate() {
+        if ba == bb {
+            continue;
+        }
+        let base = block * DIFF_BLOCK;
+        for (k, (ca, cb)) in ba.chunks_exact(8).zip(bb.chunks_exact(8)).enumerate() {
+            let x = u64::from_ne_bytes(ca.try_into().expect("8-byte chunk"));
+            let y = u64::from_ne_bytes(cb.try_into().expect("8-byte chunk"));
+            if x != y && !scan(base + 8 * k, ca, cb) {
+                return false;
+            }
+        }
+        let tail = ba.len() - ba.len() % 8;
+        if !scan(base + tail, &ba[tail..], &bb[tail..]) {
+            return false;
+        }
+    }
+    true
+}
+
 /// Applies a GF(2) linear map in column form: `out = Σ m[i]` over the
 /// set bits `i` of `v`.
 fn apply(m: &[u32; 32], v: u32) -> u32 {

@@ -33,7 +33,7 @@ use core::ops::Range;
 use std::collections::HashMap;
 
 use crate::crc::ConfigCrc;
-use crate::delta::DeltaCrc;
+use crate::delta::{for_each_diff, DeltaCrc};
 use crate::frame::{FrameData, FRAME_BYTES, FRAME_WORDS};
 use crate::image::Bitstream;
 use crate::packet::{
@@ -490,11 +490,10 @@ impl PartialForge {
 
     /// Payload word indices where `a` and `b` differ, or `None` if
     /// they differ anywhere structural (outside payload and stored CRC
-    /// word). 8-byte-block scan: near-identical streams are dominated
-    /// by equal blocks.
+    /// word).
     fn payload_word_diff(&self, a: &[u8], b: &[u8]) -> Option<Vec<usize>> {
         let mut words: Vec<usize> = Vec::new();
-        let mut note = |pos: usize| -> bool {
+        let payload_only = for_each_diff(a, b, |pos| {
             if self.payload.contains(&pos) {
                 let w = (pos - self.payload.start) / 4;
                 if words.last() != Some(&w) {
@@ -504,28 +503,8 @@ impl PartialForge {
             } else {
                 self.crc_word.contains(&pos)
             }
-        };
-        let mut chunks_a = a.chunks_exact(8);
-        let mut chunks_b = b.chunks_exact(8);
-        let mut block = 0;
-        for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-            let x = u64::from_ne_bytes(ca.try_into().expect("8-byte chunk"));
-            let y = u64::from_ne_bytes(cb.try_into().expect("8-byte chunk"));
-            if x != y {
-                for pos in block..block + 8 {
-                    if a[pos] != b[pos] && !note(pos) {
-                        return None;
-                    }
-                }
-            }
-            block += 8;
-        }
-        for (pos, (x, y)) in chunks_a.remainder().iter().zip(chunks_b.remainder()).enumerate() {
-            if x != y && !note(block + pos) {
-                return None;
-            }
-        }
-        Some(words)
+        });
+        payload_only.then_some(words)
     }
 
     /// Assembles (or re-CRCs from a cached template) the stream
@@ -550,15 +529,12 @@ impl PartialForge {
                 // clone against it.
                 let fresh = run_bytes(*start, *len);
                 let mut words: Vec<usize> = Vec::new();
-                for (w, (a, b)) in t.bytes[t.payload.clone()]
-                    .chunks_exact(4)
-                    .zip(fresh.chunks_exact(4))
-                    .enumerate()
-                {
-                    if a != b {
-                        words.push(w);
+                for_each_diff(&t.bytes[t.payload.clone()], fresh, |pos| {
+                    if words.last() != Some(&(pos / 4)) {
+                        words.push(pos / 4);
                     }
-                }
+                    true
+                });
                 let mut out = t.bytes.clone();
                 out[t.payload.clone()].copy_from_slice(fresh);
                 t.delta.patch(&t.bytes, &mut out, t.payload.start, &words);
@@ -794,6 +770,62 @@ mod tests {
             cfg.runs[0].frames.as_bytes(),
             &golden.as_bytes()[payload.start + 2 * FRAME_BYTES..payload.start + 3 * FRAME_BYTES]
         );
+    }
+
+    /// The block-skipping diff names exactly the payload words a
+    /// byte-by-byte walk names, and refuses exactly the pairs that
+    /// differ outside the payload and the stored CRC word.
+    #[test]
+    fn payload_word_diff_matches_a_byte_by_byte_reference() {
+        let golden = sample(24, 7);
+        let forge = PartialForge::new(&golden).expect("analyzes");
+        let reference = |a: &[u8], b: &[u8]| -> Option<Vec<usize>> {
+            let mut words: Vec<usize> = Vec::new();
+            for (pos, (x, y)) in a.iter().zip(b).enumerate() {
+                if x == y {
+                    continue;
+                }
+                if forge.payload.contains(&pos) {
+                    let w = (pos - forge.payload.start) / 4;
+                    if words.last() != Some(&w) {
+                        words.push(w);
+                    }
+                } else if !forge.crc_word.contains(&pos) {
+                    return None;
+                }
+            }
+            Some(words)
+        };
+        let mut x = 0x5EED_0FD1_FF00_0001u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut refused, mut accepted) = (0, 0);
+        for _ in 0..400 {
+            let mut pair = [golden.as_bytes().to_vec(), golden.as_bytes().to_vec()];
+            for side in &mut pair {
+                for _ in 0..next() % 6 {
+                    let pos = match next() % 16 {
+                        0 => (next() % forge.payload.start as u64) as usize,
+                        1 => forge.crc_word.start + (next() % 4) as usize,
+                        _ => forge.payload.start + (next() % forge.payload.len() as u64) as usize,
+                    };
+                    side[pos] ^= (next() % 255 + 1) as u8;
+                }
+            }
+            let [a, b] = &pair;
+            let want = reference(a, b);
+            if want.is_some() {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+            assert_eq!(forge.payload_word_diff(a, b), want);
+        }
+        assert!(refused > 0 && accepted > 0, "both outcomes drawn: {refused} / {accepted}");
     }
 
     #[test]

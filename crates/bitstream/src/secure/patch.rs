@@ -540,7 +540,9 @@ impl PatchOracle {
     /// path).
     #[must_use]
     pub fn seal_fresh(&self, body: &[u8]) -> SecureBitstream {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        // Midstate 0 has absorbed no body byte: the keyed HMAC state,
+        // so the key's two pad blocks are not compressed again.
+        let mut mac = self.mac_midstates[0];
         mac.update(body);
         let mac = mac.finalize();
         let mut plain = Vec::with_capacity(body.len() + 128);

@@ -208,9 +208,13 @@ impl TruthTable {
     #[must_use]
     pub fn cofactors(self, var: u8) -> (Self, Self) {
         assert!(var >= 1 && var <= self.k, "variable a{var} out of range for k={}", self.k);
-        let v = var - 1;
-        let lo = Self::from_fn(self.k, |i| self.eval(i & !(1 << v)));
-        let hi = Self::from_fn(self.k, |i| self.eval(i | (1 << v)));
+        // Copy the rows with the variable clear (set) onto their
+        // partners: one masked shift per cofactor.
+        let v = usize::from(var - 1);
+        let (set, shift) = (self.bits & VAR[v], 1 << v);
+        let clear = self.bits & !VAR[v];
+        let lo = Self { bits: clear | (clear << shift), k: self.k };
+        let hi = Self { bits: set | (set >> shift), k: self.k };
         (lo, hi)
     }
 

@@ -119,6 +119,18 @@ proptest! {
         prop_assert!(!hi.depends_on(v));
     }
 
+    /// The masked-shift cofactors equal the row-by-row definition at
+    /// every table width.
+    #[test]
+    fn cofactors_match_the_row_by_row_reference(bits in any::<u64>(), k in 1u8..=6, v in 1u8..=6) {
+        let v = v.min(k);
+        let f = TruthTable::new(k, bits);
+        let bit = 1u8 << (v - 1);
+        let lo = TruthTable::from_fn(k, |i| f.eval(i & !bit));
+        let hi = TruthTable::from_fn(k, |i| f.eval(i | bit));
+        prop_assert_eq!(f.cofactors(v), (lo, hi));
+    }
+
     #[test]
     fn support_is_exact(bits in any::<u64>()) {
         let f = TruthTable::new(6, bits);

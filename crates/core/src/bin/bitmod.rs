@@ -48,7 +48,7 @@
 //! run is bit-identical to an untraced one. With `--batch` the attack
 //! issues up to 64 oracle queries per call, evaluated bit-parallel by
 //! the 64-lane gang simulator; without it the same phases issue one
-//! query per call through the scalar load path. Both widths run one
+//! query per call, each load a one-lane gang pass. Both widths run one
 //! code path, and the recovered key, per-query keystreams and load
 //! accounting are identical; width 64 is only faster. With `--partial` each candidate ships as a frame-delta
 //! partial-reconfiguration stream against the image the previous load

@@ -561,8 +561,8 @@ impl<'a> ResilientOracle<'a> {
     /// same vote/retry/budget loop as `query`; only where its reads
     /// come from differs:
     ///
-    /// * a **one-item batch** is `query` itself: one scalar device
-    ///   load per read, which beats a one-lane gang pass;
+    /// * a **one-item batch** is `query` itself: one device load (a
+    ///   one-lane gang pass) per read, with no batch bookkeeping;
     /// * against a **fault-planning oracle** (an `UnreliableBoard`),
     ///   each read is a speculative fault plan for the exact load
     ///   index serial execution would use, resolved against device

@@ -180,9 +180,8 @@ impl Snow3gBoard {
     ///   base, so the partial lanes after it fail the same way and the
     ///   next load must be full.
     ///
-    /// The accepted lanes then run once: the scalar simulator when one
-    /// lane is live, gang passes of up to [`GANG_LANES`] lanes
-    /// otherwise.
+    /// The accepted lanes then run once, in gang passes of up to
+    /// [`GANG_LANES`] lanes; a lone live lane is a one-lane pass.
     ///
     /// # Panics
     ///
@@ -202,10 +201,6 @@ impl Snow3gBoard {
                 }
                 Err(e) => out.push(Err(e)),
             }
-        }
-        if let [slot] = slots[..] {
-            out[slot] = Ok(self.collect_keystream(lanes.pop().expect("one live lane"), words));
-            return out;
         }
         for (slots, lanes) in slots.chunks(GANG_LANES).zip(lanes.chunks(GANG_LANES)) {
             let mut gang = GangConfiguredFpga::with_inits(&self.fpga, lanes);
@@ -271,20 +266,6 @@ impl Snow3gBoard {
                 }
             })
             .collect()
-    }
-
-    /// Runs a freshly-configured device (global set/reset just
-    /// released) and collects `words` keystream words.
-    fn collect_keystream(&self, inits: Vec<DualOutputInit>, words: usize) -> Vec<u32> {
-        let mut dev = self.fpga.configured_from_inits(inits);
-        dev.set_input(self.run_net, true);
-        dev.run(WARMUP_CYCLES);
-        let mut out = Vec::with_capacity(words);
-        for _ in 0..words {
-            dev.step();
-            out.push(dev.word(&self.z_nets));
-        }
-        out
     }
 }
 

@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use boolfn::DualOutputInit;
 use netlist::NodeId;
 
+use bitstream::delta::for_each_diff;
 use bitstream::partial::{ParsePartialError, PartialBitstream};
 use bitstream::{codec, Bitstream, DeltaCrc, FrameData, ParseBitstreamError, FRAME_BYTES};
 
@@ -212,8 +213,8 @@ impl std::error::Error for PartialApplyError {
     }
 }
 
-/// One evaluation step of the configured fabric. Shared with the
-/// gang simulator so both walk the identical topological order.
+/// One evaluation step of the configured fabric, in the topological
+/// order the gang simulator compiles its passes in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EvalStep {
     Lut(usize),
@@ -295,37 +296,25 @@ impl Fpga {
         &self.db
     }
 
-    /// Configures the device from a bitstream: parses it, enforces
-    /// the CRC if present, and loads every LUT site's INIT value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError`] if parsing fails, the CRC mismatches
-    /// or the payload size is wrong.
-    pub fn program(&self, bs: &Bitstream) -> Result<ConfiguredFpga<'_>, ProgramError> {
-        Ok(self.configured_from_inits(self.decode_lut_inits(bs)?))
-    }
-
-    /// Builds a freshly-configured simulator from already-decoded INIT
-    /// values — the global-set/reset half of programming: every FF at
-    /// its power-up value, ties driven, cycle counter at zero.
+    /// Configuration readback (the `FDRO` path of real devices): the
+    /// frame contents of the device configured with `inits`. Non-LUT
+    /// bits (routing) read back as zero, mirroring the mask files
+    /// vendors ship for readback verification.
     #[must_use]
-    pub fn configured_from_inits(&self, inits: Vec<DualOutputInit>) -> ConfiguredFpga<'_> {
-        let mut values = vec![false; self.net_count];
-        for ff in &self.db.ffs {
-            values[ff.q.index()] = ff.init;
+    pub fn readback_frames(&self, inits: &[DualOutputInit]) -> FrameData {
+        let mut frames = FrameData::new(self.geometry.frame_count());
+        for (cell, &init) in self.db.luts.iter().zip(inits) {
+            codec::write_lut(frames.as_mut_bytes(), self.geometry.lut_location(cell.site), init);
         }
-        for &(net, v) in &self.db.ties {
-            values[net.index()] = v;
-        }
-        let latch = vec![false; self.db.ffs.len()];
-        ConfiguredFpga { fpga: self, inits, values, latch, clean: false, cycle: 0 }
+        frames
     }
 
     /// Parses and validates a bitstream exactly like [`Fpga::program`]
     /// and returns the per-cell INIT values without building a
-    /// simulator — the configuration half of programming, reused by
-    /// the gang simulator to load each lane.
+    /// simulator — the configuration half of programming, which
+    /// [`GangConfiguredFpga::with_inits`] completes for each lane.
+    ///
+    /// [`GangConfiguredFpga::with_inits`]: crate::GangConfiguredFpga::with_inits
     ///
     /// # Errors
     ///
@@ -498,38 +487,6 @@ impl Fpga {
     }
 }
 
-/// Calls `at` with every position where the equal-length `a` and `b`
-/// differ, in increasing order, until `at` returns `false`; returns
-/// whether every call returned `true`. Compares in 8-byte blocks via
-/// `u64` loads: configuration deltas differ in a handful of bytes, so
-/// the scan is dominated by equal blocks and one integer compare
-/// retires each of them.
-fn for_each_diff(a: &[u8], b: &[u8], mut at: impl FnMut(usize) -> bool) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let mut chunks_a = a.chunks_exact(8);
-    let mut chunks_b = b.chunks_exact(8);
-    let mut block = 0;
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        let wa = u64::from_ne_bytes(ca.try_into().expect("8-byte chunk"));
-        let wb = u64::from_ne_bytes(cb.try_into().expect("8-byte chunk"));
-        if wa != wb {
-            for (k, (x, y)) in ca.iter().zip(cb).enumerate() {
-                if x != y && !at(block + k) {
-                    return false;
-                }
-            }
-        }
-        block += 8;
-    }
-    let tail = chunks_a.remainder().iter().zip(chunks_b.remainder());
-    for (k, (x, y)) in tail.enumerate() {
-        if x != y && !at(block + k) {
-            return false;
-        }
-    }
-    true
-}
-
 /// The reference stream a [`Fpga::decode_lut_inits_batch`] call
 /// decodes later streams against.
 struct RefDecode {
@@ -638,135 +595,6 @@ fn eval_order(db: &RoutingDb) -> Vec<EvalStep> {
     order
 }
 
-/// A configured (programmed) device, ready to clock.
-#[derive(Debug, Clone)]
-pub struct ConfiguredFpga<'a> {
-    fpga: &'a Fpga,
-    inits: Vec<DualOutputInit>,
-    values: Vec<bool>,
-    /// Double buffer for FF state: `latch[i]` holds the sampled D
-    /// input of `db.ffs[i]` between the two phases of a step, so no
-    /// step allocates.
-    latch: Vec<bool>,
-    /// Whether `values` reflects a completed combinational evaluation
-    /// of the current state. Cleared by `set_input`; when set, the
-    /// pre-latch evaluation in `step` is a no-op and is skipped.
-    clean: bool,
-    cycle: u64,
-}
-
-impl ConfiguredFpga<'_> {
-    /// Drives a primary input net.
-    pub fn set_input(&mut self, net: NetId, value: bool) {
-        self.values[net.index()] = value;
-        self.clean = false;
-    }
-
-    /// The current value of a net (after the last evaluation).
-    #[must_use]
-    pub fn net(&self, net: NetId) -> bool {
-        self.values[net.index()]
-    }
-
-    /// Reads 32 nets as a word, LSB first.
-    #[must_use]
-    pub fn word(&self, nets: &[NetId]) -> u32 {
-        nets.iter().enumerate().fold(0u32, |acc, (i, &n)| acc | (u32::from(self.net(n)) << i))
-    }
-
-    /// Clock cycles executed.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn evaluate(&mut self) {
-        let db = &self.fpga.db;
-        for &step in &self.fpga.order {
-            match step {
-                EvalStep::Lut(i) => {
-                    let cell = &db.luts[i];
-                    let init = self.inits[i];
-                    let mut addr = 0u8;
-                    for (p, net) in cell.inputs.iter().enumerate() {
-                        if self.values[net.index()] {
-                            addr |= 1 << p;
-                        }
-                    }
-                    match cell.o5 {
-                        None => {
-                            // Single-output mode: O6 reads the full
-                            // 6-input table (unconnected pins low).
-                            self.values[cell.o6.index()] = init.o6().eval(addr & 0x3F);
-                        }
-                        Some(o5) => {
-                            // Fractured: both halves share pins a1..a5.
-                            let a = addr & 0x1F;
-                            self.values[o5.index()] = init.o5().eval(a);
-                            self.values[cell.o6.index()] = init.o6_fractured().eval(a);
-                        }
-                    }
-                }
-                EvalStep::Bram(i) => {
-                    let cell = &db.brams[i];
-                    let mut a = 0usize;
-                    for (p, net) in cell.addr.iter().enumerate() {
-                        if self.values[net.index()] {
-                            a |= 1 << p;
-                        }
-                    }
-                    let word = cell.table[a];
-                    for (bit, net) in cell.data.iter().enumerate() {
-                        self.values[net.index()] = (word >> bit) & 1 == 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs one clock cycle with the current input values.
-    pub fn step(&mut self) {
-        // Evaluation is idempotent, so when the previous step's
-        // post-latch evaluation is still current (no input changed in
-        // between) the pre-latch pass would recompute the same values
-        // and is skipped — back-to-back steps pay one pass, not two.
-        if !self.clean {
-            self.evaluate();
-        }
-        let db = &self.fpga.db;
-        for (slot, ff) in self.latch.iter_mut().zip(&db.ffs) {
-            *slot = self.values[ff.d.index()];
-        }
-        for (slot, ff) in self.latch.iter().zip(&db.ffs) {
-            self.values[ff.q.index()] = *slot;
-        }
-        self.cycle += 1;
-        self.evaluate();
-        self.clean = true;
-    }
-
-    /// Runs `n` clock cycles.
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Configuration readback (the `FDRO` path of real devices):
-    /// reconstructs the frame contents from the loaded LUT INITs.
-    /// Non-LUT bits (routing) are masked to zero, mirroring the mask
-    /// files vendors ship for readback verification.
-    #[must_use]
-    pub fn readback_frames(&self) -> bitstream::FrameData {
-        let geometry = self.fpga.geometry();
-        let mut frames = bitstream::FrameData::new(geometry.frame_count());
-        for (cell, &init) in self.fpga.db.luts.iter().zip(&self.inits) {
-            codec::write_lut(frames.as_mut_bytes(), geometry.lut_location(cell.site), init);
-        }
-        frames
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,7 +662,7 @@ mod tests {
         for _ in 0..6 {
             dev.step();
             expect_q0 = !expect_q0;
-            assert_eq!(dev.net(outs[0]), expect_q0 ^ true);
+            assert_eq!(dev.net(0, outs[0]), expect_q0 ^ true);
         }
     }
 
@@ -847,7 +675,7 @@ mod tests {
         let mut dev = fpga.program(&bs).expect("programs");
         for _ in 0..4 {
             dev.step();
-            assert!(!dev.net(outs[0]));
+            assert!(!dev.net(0, outs[0]));
         }
     }
 
@@ -878,7 +706,7 @@ mod tests {
         bs.disable_crc();
         let mut dev = fpga.program(&bs).expect("CRC disabled");
         dev.step();
-        assert!(dev.net(outs[0]), "after one step q0=1, q1=1, and XNOR(1,1)=1");
+        assert!(dev.net(0, outs[0]), "after one step q0=1, q1=1, and XNOR(1,1)=1");
         Ok(())
     }
 
@@ -886,8 +714,8 @@ mod tests {
     fn readback_returns_loaded_inits() {
         let (fpga, _) = tiny();
         let bs = bitstream_for(&fpga, xor2_init(), not1_init());
-        let dev = fpga.program(&bs).expect("programs");
-        let frames = dev.readback_frames();
+        let inits = fpga.decode_lut_inits(&bs).expect("programs");
+        let frames = fpga.readback_frames(&inits);
         let loc = fpga.geometry().lut_location(SiteId { col: 0, row: 0, lut: 0 });
         let got = codec::read_lut(frames.as_bytes(), loc);
         assert_eq!(got.init(), xor2_init());

@@ -1,12 +1,13 @@
-//! Gang simulation: 64 independently configured devices evaluated in
-//! bit-parallel lockstep.
+//! The device simulator: up to 64 independently configured devices
+//! evaluated in bit-parallel lockstep.
 //!
 //! A [`GangConfiguredFpga`] packs up to [`GANG_LANES`] configurations
 //! of the *same* device into one `u64` word per net, where bit *i* is
 //! lane *i*'s boolean value. Flip-flop latching is a word copy, and
 //! one [`step`] advances all lanes at once — the throughput primitive
-//! behind batched oracle queries (`Snow3gBoard::load` over several
-//! lanes).
+//! behind batched oracle queries. It is the only simulator: a lone
+//! load (`Snow3gBoard::load` with one live lane, [`Fpga::program`]) is
+//! a one-lane pass.
 //!
 //! Building a gang compiles its LUTs into one flat list of product
 //! terms, in the device's topological order. Each distinct INIT a
@@ -20,16 +21,15 @@
 //! are read through bit-matrix transposes: per-lane address bytes in,
 //! per-bit lane words out.
 //!
-//! Lane *i* is bit-identical to the scalar [`ConfiguredFpga`]
-//! programmed with the same bitstream. This no longer holds by
-//! construction from the scalar evaluators: it rests on the Möbius
-//! transform being the exact truth-table-to-ANF inverse (checked over
-//! single-variable, constant and random tables by this module's tests)
-//! and on the `gang_differential` property test, which runs random
-//! devices through both simulators lane for lane.
+//! Lane *i* behaves as one device programmed with lane *i*'s
+//! bitstream. That rests on the Möbius transform being the exact
+//! truth-table-to-ANF inverse (checked over single-variable, constant
+//! and random tables by this module's tests) and on the
+//! `gang_differential` property test, which runs random devices
+//! through the gang and through a plain per-net reference evaluator
+//! lane for lane.
 //!
 //! [`step`]: GangConfiguredFpga::step
-//! [`ConfiguredFpga`]: crate::fabric::ConfiguredFpga
 
 use boolfn::DualOutputInit;
 
@@ -126,9 +126,10 @@ fn transpose_halves(rows: &mut [u64; 32]) {
 
 /// Up to 64 configured devices clocked in lockstep.
 ///
-/// Construct with [`Fpga::program_gang`] (whole-gang validation) or
-/// [`GangConfiguredFpga::with_inits`] from per-lane INIT vectors
-/// decoded by [`Fpga::decode_lut_inits`] (per-lane error handling).
+/// Construct with [`Fpga::program`] (one lane), [`Fpga::program_gang`]
+/// (whole-gang validation) or [`GangConfiguredFpga::with_inits`] from
+/// per-lane INIT vectors decoded by [`Fpga::decode_lut_inits`]
+/// (per-lane error handling).
 #[derive(Debug, Clone)]
 pub struct GangConfiguredFpga<'a> {
     fpga: &'a Fpga,
@@ -144,13 +145,27 @@ pub struct GangConfiguredFpga<'a> {
     values: Vec<u64>,
     /// FF double buffer, index-aligned with `db.ffs`.
     latch: Vec<u64>,
-    /// Same laziness contract as the scalar simulator: when set, the
+    /// Whether `values` reflects a completed combinational evaluation
+    /// of the current state. Cleared by `set_input`; when set, the
     /// pre-latch evaluation in `step` is skipped.
     clean: bool,
     cycle: u64,
 }
 
 impl Fpga {
+    /// Configures the device from a bitstream: parses it, enforces the
+    /// CRC if present, loads every LUT site's INIT value, and returns
+    /// the device just out of global set/reset (every FF at its
+    /// power-up value, ties driven) as a one-lane gang.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProgramError`] if parsing fails, the CRC mismatches
+    /// or the payload size is wrong.
+    pub fn program(&self, bs: &Bitstream) -> Result<GangConfiguredFpga<'_>, ProgramError> {
+        self.program_gang(&[bs])
+    }
+
     /// Configures up to [`GANG_LANES`] bitstreams onto one gang
     /// simulator. Every lane is validated exactly like
     /// [`Fpga::program`]; the first failing lane aborts the whole
@@ -380,8 +395,7 @@ impl<'a> GangConfiguredFpga<'a> {
         (self.values[net.index()] >> lane) & 1 == 1
     }
 
-    /// Reads up to 32 nets on one lane as a word, LSB first — the
-    /// gang counterpart of `ConfiguredFpga::word`.
+    /// Reads up to 32 nets on one lane as a word, LSB first.
     #[must_use]
     pub fn word(&self, lane: usize, nets: &[NetId]) -> u32 {
         nets.iter().enumerate().fold(0u32, |acc, (i, &n)| acc | (u32::from(self.net(lane, n)) << i))
@@ -407,8 +421,7 @@ impl<'a> GangConfiguredFpga<'a> {
     }
 
     /// One word-wide combinational pass: the compiled terms run in
-    /// the shared topological order, broken only by the block RAMs —
-    /// lane-for-lane the same computation as the scalar `evaluate`.
+    /// the device's topological order, broken only by the block RAMs.
     fn evaluate(&mut self) {
         let mut start = 0;
         for &(end, bram) in &self.brams {
@@ -420,9 +433,12 @@ impl<'a> GangConfiguredFpga<'a> {
     }
 
     /// Runs one clock cycle on every lane with the current input
-    /// values — same two-phase latch and laziness contract as the
-    /// scalar `step`.
+    /// values: evaluate, latch every FF's D input at once, evaluate.
     pub fn step(&mut self) {
+        // Evaluation is idempotent, so when the previous step's
+        // post-latch evaluation is still current (no input changed in
+        // between) the pre-latch pass would recompute the same values
+        // and is skipped — back-to-back steps pay one pass, not two.
         if !self.clean {
             self.evaluate();
         }
@@ -533,6 +549,8 @@ mod tests {
         BitstreamBuilder::new(frames).build()
     }
 
+    /// Each lane of a gang whose cells blend several INITs steps like
+    /// the same bitstream programmed alone, as a one-lane gang.
     #[test]
     fn lanes_track_their_own_configuration() {
         let fpga = tiny();
@@ -544,16 +562,16 @@ mod tests {
             lane_inits.iter().map(|&i| bitstream_for(&fpga, i, inv)).collect();
         let refs: Vec<&Bitstream> = streams.iter().collect();
         let mut gang = fpga.program_gang(&refs).expect("programs");
-        let mut scalars: Vec<_> =
+        let mut alone: Vec<_> =
             streams.iter().map(|bs| fpga.program(bs).expect("programs")).collect();
         for _ in 0..8 {
             gang.step();
-            for (lane, dev) in scalars.iter_mut().enumerate() {
+            for (lane, dev) in alone.iter_mut().enumerate() {
                 dev.step();
                 for net in 0..4u32 {
                     assert_eq!(
                         gang.net(lane, n(net)),
-                        dev.net(n(net)),
+                        dev.net(0, n(net)),
                         "lane {lane} net {net} cycle {}",
                         gang.cycle()
                     );
@@ -562,19 +580,23 @@ mod tests {
         }
     }
 
+    /// `word` packs the nets' bits LSB first, and the tiny device
+    /// follows its truth tables: q0 toggles, q1 holds 1, the XOR LUT
+    /// reads `q0 ^ q1` and the inverter `!q0`.
     #[test]
     fn gang_word_matches_scalar_word() {
         let fpga = tiny();
         let xor = boolfn::TruthTable::var(6, 1).xor(boolfn::TruthTable::var(6, 2)).bits();
         let inv = boolfn::TruthTable::var(6, 1).not().bits();
         let bs = bitstream_for(&fpga, xor, inv);
-        let mut gang = fpga.program_gang(&[&bs]).expect("programs");
         let mut dev = fpga.program(&bs).expect("programs");
         let nets = [n(2), n(3), n(0)];
-        for _ in 0..5 {
-            gang.step();
+        for cycle in 1..=5u32 {
             dev.step();
-            assert_eq!(gang.word(0, &nets), dev.word(&nets));
+            let q0 = cycle % 2;
+            let bits = nets.iter().enumerate().map(|(i, &net)| u32::from(dev.net(0, net)) << i);
+            assert_eq!(dev.word(0, &nets), bits.sum::<u32>());
+            assert_eq!(dev.word(0, &nets), (q0 ^ 1) | ((q0 ^ 1) << 1) | (q0 << 2), "cycle {cycle}");
         }
     }
 

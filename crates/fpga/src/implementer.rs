@@ -183,12 +183,12 @@ mod tests {
         let mut dev = imp.fpga.program(&imp.bitstream).expect("programs");
         let a = design.network.inputs()[0];
         let q = design.network.output("q").unwrap();
-        dev.set_input(a, true);
+        dev.set_input(a, u64::MAX);
         let mut expected = false;
         for _ in 0..5 {
             dev.step();
             expected = !expected;
-            assert_eq!(dev.net(q), expected);
+            assert_eq!(dev.net(0, q), expected);
         }
     }
 
@@ -210,9 +210,9 @@ mod tests {
         let run = |imp: &Implementation| {
             let mut dev = imp.fpga.program(&imp.bitstream).unwrap();
             let ain = design.network.inputs()[0];
-            dev.set_input(ain, true);
+            dev.set_input(ain, u64::MAX);
             dev.run(3);
-            dev.net(design.network.output("q").unwrap())
+            dev.net(0, design.network.output("q").unwrap())
         };
         assert_eq!(run(&a), run(&b));
     }

@@ -35,7 +35,7 @@ pub mod sealed;
 pub mod unreliable;
 
 pub use board::{BoardError, Load, Snow3gBoard};
-pub use fabric::{ConfiguredFpga, Fpga, PartialApplyError, ProgramError};
+pub use fabric::{Fpga, PartialApplyError, ProgramError};
 pub use gang::{GangConfiguredFpga, GANG_LANES};
 pub use geom::{Geometry, InitLayout, SiteId};
 pub use implementer::{implement, ImplementError, ImplementOptions, Implementation};

@@ -1,13 +1,16 @@
 //! Differential property test: every gang lane must be bit-identical
-//! to the scalar simulator programmed with the same bitstream, over
-//! random routing databases (single-output LUTs, fractured O5/O6
-//! pairs, block RAMs of random widths, flip-flops, ties) and random
-//! input sequences. Two lane shapes are drawn: a random INIT for every
-//! LUT in every lane, and the attack's batch shape — one base
-//! configuration per device with 0–3 cells edited per lane, so most
-//! cells hold one INIT across the lanes and a few blend several.
+//! to the plain reference evaluator (`common/reference.rs`) configured
+//! from the same bitstream, over random routing databases
+//! (single-output LUTs, fractured O5/O6 pairs, block RAMs of random
+//! widths, flip-flops, ties) and random input sequences. Two lane
+//! shapes are drawn: a random INIT for every LUT in every lane, and the
+//! attack's batch shape — one base configuration per device with 0–3
+//! cells edited per lane, so most cells hold one INIT across the lanes
+//! and a few blend several.
 
 mod common;
+#[path = "common/reference.rs"]
+mod reference;
 
 use boolfn::DualOutputInit;
 use common::{random_device, Rng};
@@ -16,6 +19,7 @@ use fpga_sim::Fpga;
 use netlist::NodeId;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
+use reference::Reference;
 
 use bitstream::{codec, Bitstream, BitstreamBuilder, FrameData};
 
@@ -34,10 +38,10 @@ fn random_inits(fpga: &Fpga, rng: &mut Rng) -> Vec<u64> {
     fpga.routing_db().luts.iter().map(|_| rng.next()).collect()
 }
 
-/// Programs `streams` onto one gang and one scalar device each, drives
+/// Programs `streams` onto one gang and one reference device each, drives
 /// the same random per-lane inputs into both for `cycles` cycles, and
 /// checks every net of every lane after each step.
-fn lanes_match_scalars(
+fn lanes_match_references(
     fpga: &Fpga,
     inputs: &[NodeId],
     streams: &[Bitstream],
@@ -47,48 +51,31 @@ fn lanes_match_scalars(
 ) -> TestCaseResult {
     let refs: Vec<&Bitstream> = streams.iter().collect();
     let mut gang = fpga.program_gang(&refs).expect("gang programs");
-    let mut scalars: Vec<_> =
-        streams.iter().map(|bs| fpga.program(bs).expect("scalar programs")).collect();
-    let net_count = {
-        let db = fpga.routing_db();
-        let mut max = 0u32;
-        for l in &db.luts {
-            max = max.max(l.o6.0 + 1);
-            if let Some(o5) = l.o5 {
-                max = max.max(o5.0 + 1);
-            }
-        }
-        for f in &db.ffs {
-            max = max.max(f.q.0 + 1).max(f.d.0 + 1);
-        }
-        for b in &db.brams {
-            for &d in &b.data {
-                max = max.max(d.0 + 1);
-            }
-        }
-        max
-    };
+    let mut references: Vec<Reference<'_>> = streams
+        .iter()
+        .map(|bs| Reference::new(fpga, fpga.decode_lut_inits(bs).expect("decodes")))
+        .collect();
     for _ in 0..cycles {
         // Random per-lane input drive: one mask per input net.
         for &net in inputs {
             let mask = rng.next();
             gang.set_input(net, mask);
-            for (lane, dev) in scalars.iter_mut().enumerate() {
+            for (lane, dev) in references.iter_mut().enumerate() {
                 dev.set_input(net, (mask >> lane) & 1 == 1);
             }
         }
         gang.step();
-        for (lane, dev) in scalars.iter_mut().enumerate() {
+        for (lane, dev) in references.iter_mut().enumerate() {
             dev.step();
-            for net in 0..net_count {
+            for net in (0..dev.nets()).map(|i| NodeId(i as u32)) {
                 prop_assert_eq!(
-                    gang.net(lane, NodeId(net)),
-                    dev.net(NodeId(net)),
+                    gang.net(lane, net),
+                    dev.net(net),
                     "seed ({}, {}) lane {} net {} cycle {}",
                     seeds.0,
                     seeds.1,
                     lane,
-                    net,
+                    net.0,
                     gang.cycle()
                 );
             }
@@ -112,7 +99,7 @@ proptest! {
         let streams: Vec<Bitstream> = (0..n_lanes)
             .map(|_| bitstream_with(&fpga, &random_inits(&fpga, &mut rng)))
             .collect();
-        lanes_match_scalars(&fpga, &inputs, &streams, &mut rng, cycles, (device_seed, config_seed))?;
+        lanes_match_references(&fpga, &inputs, &streams, &mut rng, cycles, (device_seed, config_seed))?;
     }
 
     /// The attack's batch shape: lanes share one base configuration and
@@ -139,6 +126,6 @@ proptest! {
                 bitstream_with(&fpga, &inits)
             })
             .collect();
-        lanes_match_scalars(&fpga, &inputs, &streams, &mut rng, cycles, (device_seed, config_seed))?;
+        lanes_match_references(&fpga, &inputs, &streams, &mut rng, cycles, (device_seed, config_seed))?;
     }
 }

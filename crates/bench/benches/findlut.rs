@@ -5,7 +5,6 @@
 //! naive-vs-optimized ablation, and the Section VII-B half scan.
 
 use bench::{payload_of, synthetic_payload, test_board};
-use bitmod::countermeasure::xor_half_scan;
 use bitmod::{find_lut_reference, Catalogue, FindLutParams, Scanner};
 use bitstream::FRAME_BYTES;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -119,9 +118,6 @@ fn bench_xor_half_scan(c: &mut Criterion) {
     let scanner = Scanner::builder().stride(FRAME_BYTES).build().unwrap();
     let mut g = c.benchmark_group("findlut/xor-half-scan");
     g.throughput(Throughput::Bytes(payload.len() as u64));
-    g.bench_function("sequential", |b| {
-        b.iter(|| xor_half_scan(&payload, FRAME_BYTES, 0..payload.len()));
-    });
     g.bench_function("parallel", |b| {
         b.iter(|| {
             scanner.scan_halves(&payload, 0..payload.len(), |o5, o6| {

@@ -32,7 +32,7 @@ fn inverted(board: &Snow3gBoard, base: &Bitstream, cell: usize) -> Bitstream {
 /// Ships each image as the frame-delta from the image before it,
 /// starting from the golden: one partial lane per image.
 fn deltas(golden: &Bitstream, images: Vec<Bitstream>) -> Vec<PartialBitstream> {
-    let mut forge = PartialForge::new(golden).expect("golden is delta-forgeable");
+    let forge = PartialForge::new(golden).expect("golden is delta-forgeable");
     let mut image = golden.clone();
     images
         .into_iter()

@@ -257,9 +257,9 @@ fn print_protected(sections: &[String]) -> Result<(), Box<dyn std::error::Error>
         println!("\n== Section VII-B — XOR-half scan of the protected bitstream ==");
         let payload = payload_of(&golden);
         let t0 = Instant::now();
-        let full = countermeasure::xor_half_scan(&payload, FRAME_BYTES, 0..payload.len());
+        let full = countermeasure::xor_half_scan(&payload, FRAME_BYTES, 0..payload.len())?;
         let dt = t0.elapsed();
-        let windowed = countermeasure::xor_half_scan(&payload, FRAME_BYTES, 0..payload.len() / 2);
+        let windowed = countermeasure::xor_half_scan(&payload, FRAME_BYTES, 0..payload.len() / 2)?;
         println!(
             "unconstrained scan: {} hits in {:.1} ms (paper: 481 hits)",
             full.len(),

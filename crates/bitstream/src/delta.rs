@@ -10,15 +10,24 @@
 //! indices, the doubling matrices) and then prices any variant's CRC
 //! at O(changed words × log stream) XORs instead of a full re-walk.
 //!
-//! Two consumers share this module: the candidate-edit forge in the
-//! attack crate (patching a forged variant's CRC so the device
-//! accepts it) and the gang batch decoder in the FPGA simulator
-//! (verifying a lane's CRC against its stored value without
-//! re-walking the packet stream per lane). Both are pinned
-//! byte-for-byte against the slow full walk by their test suites.
+//! One rule sits on top of the analysis, and every caller that
+//! relates a stream to a reference goes through it: a variant is
+//! *delta-expressible* iff it differs from the reference only inside
+//! the FDRI payload and the stored CRC word ([`DeltaCrc::word_diff`]),
+//! and the device accepts it iff its stored CRC equals the value the
+//! delta prices ([`DeltaCrc::check`], which refuses with the same
+//! typed error a full parse returns). The callers are the candidate
+//! forge in the attack crate ([`DeltaCrc::patch`] writes the priced
+//! CRC so the device accepts the variant), the partial-stream forge
+//! ([`crate::PartialForge`]) and the gang batch decoder in the FPGA
+//! simulator. Each is pinned byte-for-byte against the slow full walk
+//! by its test suite.
+
+use core::fmt;
+use core::ops::Range;
 
 use crate::crc::ConfigCrc;
-use crate::image::Bitstream;
+use crate::image::{Bitstream, ParseBitstreamError};
 use crate::packet::{CommandCode, Packet, RegisterAddress, NOP, SYNC_WORD};
 
 /// Bytes per block [`for_each_diff`] compares whole before it looks
@@ -110,8 +119,12 @@ fn word_delta(d: u32) -> u32 {
 /// A cached differential-CRC analysis of one reference bitstream,
 /// from which any payload-only variant's CRC follows in
 /// O(changed words × log stream) — see the module docs.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DeltaCrc {
+    /// Raw bytes of the reference stream.
+    reference: Vec<u8>,
+    /// Byte range of the FDRI payload within `reference`.
+    payload: Range<usize>,
     /// Absolute byte offset of the stored CRC value word.
     crc_value_at: usize,
     /// The running CRC the slow walk computes for the reference image
@@ -126,15 +139,23 @@ pub struct DeltaCrc {
     pow: Vec<[u32; 32]>,
 }
 
+impl fmt::Debug for DeltaCrc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DeltaCrc(payload: {:?}, crc word at: {})", self.payload, self.crc_value_at)
+    }
+}
+
 impl DeltaCrc {
     /// Walks `bs` exactly like [`Bitstream::recompute_crc`], recording
-    /// where the CRC lives and how the FDRI payload maps onto update
-    /// indices. Returns `None` (→ slow-path fallback) on any structure
-    /// the delta model does not cover: misaligned payload, an `RCRC`
+    /// where the CRC lives and how the FDRI payload
+    /// ([`Bitstream::fdri_data_range`]) maps onto update indices.
+    /// Returns `None` (→ slow-path fallback) on any structure the
+    /// delta model does not cover: no or misaligned payload, an `RCRC`
     /// reset after the payload starts, a payload not fed as one
     /// contiguous run of updates, or no CRC packet at all.
     #[must_use]
-    pub fn analyze(bs: &Bitstream, payload: &core::ops::Range<usize>) -> Option<Self> {
+    pub fn analyze(bs: &Bitstream) -> Option<Self> {
+        let payload = bs.fdri_data_range()?;
         if !payload.start.is_multiple_of(4) || !payload.end.is_multiple_of(4) || payload.is_empty()
         {
             return None;
@@ -180,6 +201,8 @@ impl DeltaCrc {
                             pow.push(square(pow.last().expect("non-empty")));
                         }
                         return Some(DeltaCrc {
+                            reference: bytes.to_vec(),
+                            payload,
                             crc_value_at: at,
                             reference_crc: crc.value(),
                             first_payload_update: first,
@@ -228,16 +251,78 @@ impl DeltaCrc {
         None
     }
 
-    /// Absolute byte offset of the stored CRC value word in the
-    /// reference stream (and any same-structure variant).
+    /// The raw bytes of the analyzed reference stream.
     #[must_use]
-    pub fn crc_value_at(&self) -> usize {
-        self.crc_value_at
+    pub fn reference(&self) -> &[u8] {
+        &self.reference
+    }
+
+    /// Byte range of the FDRI payload within the reference stream
+    /// (and any delta-expressible variant).
+    #[must_use]
+    pub fn payload(&self) -> Range<usize> {
+        self.payload.clone()
+    }
+
+    /// The payload word indices (sorted, deduplicated) at which two
+    /// streams of the reference's structure differ — typically the
+    /// reference and a variant, or two variants. `None` when either
+    /// stream has a different length or they differ anywhere outside
+    /// the payload and the stored CRC word (a structural difference
+    /// the delta model does not cover).
+    #[must_use]
+    pub fn word_diff(&self, a: &[u8], b: &[u8]) -> Option<Vec<usize>> {
+        if a.len() != self.reference.len() || b.len() != self.reference.len() {
+            return None;
+        }
+        let crc_word = self.crc_value_at..self.crc_value_at + 4;
+        let mut words: Vec<usize> = Vec::new();
+        let payload_only = for_each_diff(a, b, |pos| {
+            if self.payload.contains(&pos) {
+                let w = (pos - self.payload.start) / 4;
+                if words.last() != Some(&w) {
+                    words.push(w);
+                }
+                true
+            } else {
+                crc_word.contains(&pos)
+            }
+        });
+        payload_only.then_some(words)
+    }
+
+    /// The device's CRC verdict on a delta-expressible `variant` whose
+    /// payload differs from the reference at `words` (as
+    /// [`DeltaCrc::word_diff`] returns them against the reference):
+    /// accepted, or refused with exactly the
+    /// [`ParseBitstreamError::CrcMismatch`] a full
+    /// [`Bitstream::parse`] of the variant returns.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseBitstreamError::CrcMismatch`] when the stored CRC word is
+    /// not the value the device computes.
+    pub fn check(&self, variant: &[u8], words: &[usize]) -> Result<(), ParseBitstreamError> {
+        let stored = self.stored(variant);
+        let computed = self.value_for(variant, words);
+        if stored == computed {
+            Ok(())
+        } else {
+            Err(ParseBitstreamError::CrcMismatch { stored, computed })
+        }
+    }
+
+    /// Repairs `variant`'s stored CRC from its delta against the
+    /// reference at the payload word indices `words` (sorted ascending,
+    /// deduplicated; listed words that turn out equal are skipped).
+    /// Bit-identical to a [`Bitstream::recompute_crc`] re-walk.
+    pub fn patch(&self, variant: &mut [u8], words: &[usize]) {
+        let value = self.value_for(variant, words);
+        variant[self.crc_value_at..self.crc_value_at + 4].copy_from_slice(&value.to_be_bytes());
     }
 
     /// The stored CRC value word of a same-structure variant.
-    #[must_use]
-    pub fn stored(&self, variant: &[u8]) -> u32 {
+    fn stored(&self, variant: &[u8]) -> u32 {
         u32::from_be_bytes(
             variant[self.crc_value_at..self.crc_value_at + 4].try_into().expect("4 bytes"),
         )
@@ -256,23 +341,16 @@ impl DeltaCrc {
     }
 
     /// The configuration CRC the device would compute for `variant`,
-    /// given that it differs from `reference` only at the payload word
-    /// indices `words` (sorted ascending, deduplicated; indices whose
-    /// words turn out equal are skipped). Bit-identical to a full
+    /// given that it differs from the reference only at the payload
+    /// word indices `words` (sorted ascending, deduplicated; indices
+    /// whose words turn out equal are skipped). Bit-identical to a full
     /// re-walk of the variant.
-    #[must_use]
-    pub fn value_for(
-        &self,
-        reference: &[u8],
-        variant: &[u8],
-        payload_start: usize,
-        words: &[usize],
-    ) -> u32 {
+    fn value_for(&self, variant: &[u8], words: &[usize]) -> u32 {
         let mut state = 0u32;
         let mut prev: Option<u64> = None;
         for &w in words {
-            let at = payload_start + 4 * w;
-            let g = u32::from_be_bytes(reference[at..at + 4].try_into().expect("4 bytes"));
+            let at = self.payload.start + 4 * w;
+            let g = u32::from_be_bytes(self.reference[at..at + 4].try_into().expect("4 bytes"));
             let m = u32::from_be_bytes(variant[at..at + 4].try_into().expect("4 bytes"));
             if g == m {
                 continue;
@@ -288,20 +366,6 @@ impl DeltaCrc {
             None => self.reference_crc,
             Some(last) => self.reference_crc ^ self.advance(state, self.total_updates - 1 - last),
         }
-    }
-
-    /// Repairs `variant`'s stored CRC from the byte delta against
-    /// `reference`: computes [`DeltaCrc::value_for`] and writes it at
-    /// the CRC value word.
-    pub fn patch(
-        &self,
-        reference: &[u8],
-        variant: &mut [u8],
-        payload_start: usize,
-        words: &[usize],
-    ) {
-        let value = self.value_for(reference, variant, payload_start, words);
-        variant[self.crc_value_at..self.crc_value_at + 4].copy_from_slice(&value.to_be_bytes());
     }
 }
 
@@ -326,8 +390,9 @@ mod tests {
     #[test]
     fn value_for_matches_full_recompute() {
         let golden = sample(8, 0x5EED);
-        let payload = golden.fdri_data_range().expect("payload");
-        let delta = DeltaCrc::analyze(&golden, &payload).expect("builder output analyzes");
+        let delta = DeltaCrc::analyze(&golden).expect("builder output analyzes");
+        let payload = delta.payload();
+        assert_eq!(Some(payload.clone()), golden.fdri_data_range());
 
         // Several edit shapes: single word, adjacent words, first and
         // last payload words, and a no-op (equal words listed).
@@ -349,13 +414,13 @@ mod tests {
                 variant.as_mut_bytes()[at] ^= 0xA5;
                 variant.as_mut_bytes()[at + 3] ^= 0x3C;
             }
-            let fast = delta.value_for(golden.as_bytes(), variant.as_bytes(), payload.start, words);
+            let fast = delta.value_for(variant.as_bytes(), words);
             let mut slow = variant.clone();
             assert!(slow.recompute_crc(), "slow path patches");
             assert_eq!(delta.stored(slow.as_bytes()), fast, "case {case}");
 
             let mut patched = variant.clone();
-            delta.patch(golden.as_bytes(), patched.as_mut_bytes(), payload.start, words);
+            delta.patch(patched.as_mut_bytes(), words);
             assert_eq!(patched.as_bytes(), slow.as_bytes(), "case {case}");
             assert!(patched.parse().expect("parses").crc_checked, "case {case}");
         }
@@ -364,18 +429,80 @@ mod tests {
     #[test]
     fn detects_unlisted_word_changes_as_mismatch() {
         // A changed word NOT in the list makes value_for disagree with
-        // the device's walk — the property the batch decoder's CRC
-        // check rests on.
+        // the device's walk — why `check` must be given the full
+        // `word_diff` against the reference.
         let golden = sample(4, 0xBAD);
-        let payload = golden.fdri_data_range().expect("payload");
-        let delta = DeltaCrc::analyze(&golden, &payload).expect("analyzes");
+        let delta = DeltaCrc::analyze(&golden).expect("analyzes");
         let mut variant = golden.clone();
-        variant.as_mut_bytes()[payload.start + 40] ^= 0x01;
-        let claimed = delta.value_for(golden.as_bytes(), variant.as_bytes(), payload.start, &[]);
+        variant.as_mut_bytes()[delta.payload().start + 40] ^= 0x01;
+        let claimed = delta.value_for(variant.as_bytes(), &[]);
         assert_eq!(claimed, delta.stored(golden.as_bytes()), "empty list claims reference CRC");
+        let words = delta.word_diff(delta.reference(), variant.as_bytes()).expect("payload edit");
+        assert_eq!(words, vec![10]);
+        assert_eq!(delta.check(variant.as_bytes(), &words), variant.parse().map(|_| ()));
         assert!(
-            matches!(variant.parse(), Err(crate::image::ParseBitstreamError::CrcMismatch { .. })),
+            matches!(variant.parse(), Err(ParseBitstreamError::CrcMismatch { .. })),
             "the device rejects the unpatched variant"
         );
+    }
+
+    /// The block-skipping diff names exactly the payload words a
+    /// byte-by-byte walk names, and refuses exactly the pairs that
+    /// differ outside the payload and the stored CRC word.
+    #[test]
+    fn payload_word_diff_matches_a_byte_by_byte_reference() {
+        let golden = sample(24, 7);
+        let delta = DeltaCrc::analyze(&golden).expect("analyzes");
+        let payload = delta.payload();
+        let crc_word = delta.crc_value_at..delta.crc_value_at + 4;
+        let reference = |a: &[u8], b: &[u8]| -> Option<Vec<usize>> {
+            let mut words: Vec<usize> = Vec::new();
+            for (pos, (x, y)) in a.iter().zip(b).enumerate() {
+                if x == y {
+                    continue;
+                }
+                if payload.contains(&pos) {
+                    let w = (pos - payload.start) / 4;
+                    if words.last() != Some(&w) {
+                        words.push(w);
+                    }
+                } else if !crc_word.contains(&pos) {
+                    return None;
+                }
+            }
+            Some(words)
+        };
+        let mut x = 0x5EED_0FD1_FF00_0001u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut refused, mut accepted) = (0, 0);
+        for _ in 0..400 {
+            let mut pair = [golden.as_bytes().to_vec(), golden.as_bytes().to_vec()];
+            for side in &mut pair {
+                for _ in 0..next() % 6 {
+                    let pos = match next() % 16 {
+                        0 => (next() % payload.start as u64) as usize,
+                        1 => crc_word.start + (next() % 4) as usize,
+                        _ => payload.start + (next() % payload.len() as u64) as usize,
+                    };
+                    side[pos] ^= (next() % 255 + 1) as u8;
+                }
+            }
+            let [a, b] = &pair;
+            let want = reference(a, b);
+            if want.is_some() {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+            assert_eq!(delta.word_diff(a, b), want);
+        }
+        assert!(refused > 0 && accepted > 0, "both outcomes drawn: {refused} / {accepted}");
+        // A length change is structural too.
+        assert_eq!(delta.word_diff(golden.as_bytes(), &golden.as_bytes()[4..]), None);
     }
 }

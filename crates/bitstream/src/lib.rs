@@ -42,7 +42,5 @@ pub use packet::{CommandCode, Packet, PacketEncodeError, RegisterAddress, SYNC_W
 pub use partial::{
     ParsePartialError, PartialBitstream, PartialConfig, PartialDelta, PartialForge, PartialRun,
 };
-pub use secure::patch::{
-    BodyEdit, PatchError, PatchOracle, PatchStats, BODY_OFFSET, MIDSTATE_STRIDE,
-};
+pub use secure::patch::{PatchError, PatchOracle, PatchStats, BODY_OFFSET, MIDSTATE_STRIDE};
 pub use secure::{CbcError, OpenSecureError, ScaOracle, SecureBitstream};

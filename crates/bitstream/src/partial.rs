@@ -23,17 +23,14 @@
 //!
 //! The frame address is modelled as a linear frame index (the real
 //! device's block/row/column major address decomposes to one; the
-//! attack never needs the split fields). The forge caches one
-//! assembled stream per run *shape* and re-CRCs same-shape variants
-//! through the linear [`DeltaCrc`], so steady-state forging costs
-//! O(changed words × log stream) instead of a fresh CRC walk.
+//! attack never needs the split fields). Each delta is a fresh
+//! [`PartialBitstream::assemble`] of the touched frames: a 4–5-frame
+//! stream's CRC walk is a few hundred register writes.
 
 use core::fmt;
-use core::ops::Range;
-use std::collections::HashMap;
 
 use crate::crc::ConfigCrc;
-use crate::delta::{for_each_diff, DeltaCrc};
+use crate::delta::DeltaCrc;
 use crate::frame::{FrameData, FRAME_BYTES, FRAME_WORDS};
 use crate::image::Bitstream;
 use crate::packet::{
@@ -386,50 +383,22 @@ pub struct PartialDelta {
     pub frames_written: usize,
 }
 
-/// A cached same-shape stream: re-forging a delta whose run layout
-/// matches only splices new frame bytes and patches the CRC through
-/// the linear delta.
-struct Template {
-    bytes: Vec<u8>,
-    /// Byte range of the (single) run's payload within `bytes`.
-    payload: Range<usize>,
-    delta: DeltaCrc,
-}
-
 /// Forges frame-delta partial streams against a reference full
 /// bitstream's structure.
 ///
 /// Built once from the first full load of a session; every later
-/// candidate that differs from the on-device image only inside the
-/// FDRI payload (and the stored CRC word) forges in O(touched
-/// frames). Anything else — structural edits, CRC-disabled streams,
-/// candidates whose own stored CRC would be refused — returns `None`
-/// and the caller falls back to a full load, so device-visible
-/// accept/reject behaviour is preserved exactly.
+/// candidate that is delta-expressible against the reference (see
+/// [`DeltaCrc`]) forges in O(touched frames). Anything else —
+/// structural edits, CRC-disabled streams, candidates whose own stored
+/// CRC would be refused — returns `None` and the caller falls back to
+/// a full load, so device-visible accept/reject behaviour is preserved
+/// exactly.
+#[derive(Debug)]
 pub struct PartialForge {
-    /// Raw bytes of the reference stream.
-    reference: Vec<u8>,
-    /// Byte range of the FDRI payload within the reference.
-    payload: Range<usize>,
-    /// Differential-CRC analysis of the reference structure.
+    /// Differential-CRC analysis of the reference stream.
     delta: DeltaCrc,
-    /// Byte range of the stored CRC value word.
-    crc_word: Range<usize>,
     /// Device ID carried by the reference (re-emitted in deltas).
     idcode: u32,
-    /// Per-run-shape template cache (single-run shapes only).
-    templates: HashMap<(usize, usize), Template>,
-}
-
-impl fmt::Debug for PartialForge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PartialForge(payload: {} bytes, templates: {})",
-            self.payload.len(),
-            self.templates.len()
-        )
-    }
 }
 
 impl PartialForge {
@@ -438,132 +407,38 @@ impl PartialForge {
     /// no FDRI payload, no checkable CRC, or no IDCODE.
     #[must_use]
     pub fn new(reference: &Bitstream) -> Option<Self> {
-        let payload = reference.fdri_data_range()?;
-        let delta = DeltaCrc::analyze(reference, &payload)?;
+        let delta = DeltaCrc::analyze(reference)?;
         let idcode = reference.parse().ok()?.idcode?;
-        let crc_word = delta.crc_value_at()..delta.crc_value_at() + 4;
-        Some(Self {
-            reference: reference.as_bytes().to_vec(),
-            payload,
-            delta,
-            crc_word,
-            idcode,
-            templates: HashMap::new(),
-        })
+        Some(Self { delta, idcode })
     }
 
     /// Forges the frame-delta that turns the on-device `image` into
     /// `candidate`. Returns `None` — caller ships a full load — when
-    /// the pair is not expressible as a payload delta: length or
-    /// structural bytes differ from the reference, or the candidate's
-    /// stored CRC is not the value the device would compute (the
-    /// device must keep refusing such streams).
+    /// the candidate is not delta-expressible against the reference,
+    /// or its stored CRC is not the value the device would compute
+    /// (the device must keep refusing such streams).
     #[must_use]
-    pub fn delta(&mut self, image: &Bitstream, candidate: &Bitstream) -> Option<PartialDelta> {
+    pub fn delta(&self, image: &Bitstream, candidate: &Bitstream) -> Option<PartialDelta> {
         let cand = candidate.as_bytes();
-        let img = image.as_bytes();
-        if cand.len() != self.reference.len() || img.len() != self.reference.len() {
-            return None;
-        }
-        // Structural check + CRC validity, both against the reference:
-        // every byte where the candidate differs from the reference
-        // must lie in the payload or be the stored CRC word.
-        let words_vs_ref = self.payload_word_diff(&self.reference, cand)?;
-        let computed =
-            self.delta.value_for(&self.reference, cand, self.payload.start, &words_vs_ref);
-        if self.delta.stored(cand) != computed {
-            // The device would refuse this candidate; ship it whole so
-            // it can.
-            return None;
-        }
+        let words_vs_ref = self.delta.word_diff(self.delta.reference(), cand)?;
+        self.delta.check(cand, &words_vs_ref).ok()?;
         // The shipped delta: frames where the candidate differs from
         // what is on the device. The image was validated when it was
         // latched, so a payload-confined scan suffices.
-        let words_vs_img = self.payload_word_diff(img, cand)?;
+        let words_vs_img = self.delta.word_diff(image.as_bytes(), cand)?;
         let mut frames: Vec<usize> = words_vs_img.iter().map(|w| w * 4 / FRAME_BYTES).collect();
         frames.dedup();
-        let runs = contiguous_runs(&frames);
-        let frames_written = frames.len();
-        let stream = self.forge_runs(cand, &runs).ok()?;
-        Some(PartialDelta { stream, frames_written })
-    }
-
-    /// Payload word indices where `a` and `b` differ, or `None` if
-    /// they differ anywhere structural (outside payload and stored CRC
-    /// word).
-    fn payload_word_diff(&self, a: &[u8], b: &[u8]) -> Option<Vec<usize>> {
-        let mut words: Vec<usize> = Vec::new();
-        let payload_only = for_each_diff(a, b, |pos| {
-            if self.payload.contains(&pos) {
-                let w = (pos - self.payload.start) / 4;
-                if words.last() != Some(&w) {
-                    words.push(w);
-                }
-                true
-            } else {
-                self.crc_word.contains(&pos)
-            }
-        });
-        payload_only.then_some(words)
-    }
-
-    /// Assembles (or re-CRCs from a cached template) the stream
-    /// shipping `runs` with frame bytes taken from `candidate`.
-    fn forge_runs(
-        &mut self,
-        candidate: &[u8],
-        runs: &[(usize, usize)],
-    ) -> Result<PartialBitstream, PacketEncodeError> {
-        let payload_start = self.payload.start;
-        let run_bytes = |start: usize, len: usize| {
-            let at = payload_start + start * FRAME_BYTES;
-            &candidate[at..at + len * FRAME_BYTES]
-        };
-        if let [(start, len)] = runs {
-            // Single contiguous run: the common case (one LUT edit
-            // touches 4–5 consecutive frames). Same-shape templates
-            // re-CRC through the linear delta instead of re-walking.
-            if let Some(t) = self.templates.get(&(*start, *len)) {
-                // `t.bytes` is the exact stream `t.delta` was analyzed
-                // against and stays immutable: every reforge patches a
-                // clone against it.
-                let fresh = run_bytes(*start, *len);
-                let mut words: Vec<usize> = Vec::new();
-                for_each_diff(&t.bytes[t.payload.clone()], fresh, |pos| {
-                    if words.last() != Some(&(pos / 4)) {
-                        words.push(pos / 4);
-                    }
-                    true
-                });
-                let mut out = t.bytes.clone();
-                out[t.payload.clone()].copy_from_slice(fresh);
-                t.delta.patch(&t.bytes, &mut out, t.payload.start, &words);
-                return Ok(PartialBitstream(out));
-            }
-        }
-        let assembled_runs: Vec<PartialRun> = runs
-            .iter()
-            .map(|&(start, len)| PartialRun {
-                start_frame: start,
-                frames: FrameData::from_bytes(run_bytes(start, len).to_vec()),
+        let payload_start = self.delta.payload().start;
+        let runs: Vec<PartialRun> = contiguous_runs(&frames)
+            .into_iter()
+            .map(|(start, len)| {
+                let at = payload_start + start * FRAME_BYTES;
+                let bytes = cand[at..at + len * FRAME_BYTES].to_vec();
+                PartialRun { start_frame: start, frames: FrameData::from_bytes(bytes) }
             })
             .collect();
-        let stream = PartialBitstream::assemble(self.idcode, &assembled_runs)?;
-        if let [(start, len)] = runs {
-            // Cache the shape for same-shape reforges, when the
-            // partial stream's own structure is delta-coverable
-            // (single contiguous payload run — always true here).
-            let as_image = Bitstream::from_bytes(stream.0.clone());
-            if let Some(payload) = as_image.fdri_data_range() {
-                if let Some(delta) = DeltaCrc::analyze(&as_image, &payload) {
-                    self.templates.insert(
-                        (*start, *len),
-                        Template { bytes: stream.0.clone(), payload, delta },
-                    );
-                }
-            }
-        }
-        Ok(stream)
+        let stream = PartialBitstream::assemble(self.idcode, &runs).ok()?;
+        Some(PartialDelta { stream, frames_written: frames.len() })
     }
 }
 
@@ -667,7 +542,7 @@ mod tests {
     #[test]
     fn forge_ships_only_touched_frames() {
         let golden = sample(16, 0xFEED);
-        let mut forge = PartialForge::new(&golden).expect("analyzes");
+        let forge = PartialForge::new(&golden).expect("analyzes");
         let payload = golden.fdri_data_range().expect("payload");
 
         // Edit two bytes inside frame 7 and repair the CRC.
@@ -690,42 +565,10 @@ mod tests {
     }
 
     #[test]
-    fn template_reforge_is_byte_identical_to_fresh_assembly() {
-        let golden = sample(8, 0x0DD);
-        let payload = golden.fdri_data_range().expect("payload");
-        let mut forge = PartialForge::new(&golden).expect("analyzes");
-
-        // Two different edits with the same run shape (frame 3).
-        let edit = |mask: u8| {
-            let mut cand = golden.clone();
-            cand.as_mut_bytes()[payload.start + 3 * FRAME_BYTES + 42] ^= mask;
-            assert!(cand.recompute_crc());
-            cand
-        };
-        let a = edit(0x11);
-        let b = edit(0x2C);
-        let first = forge.delta(&golden, &a).expect("expressible");
-        let second = forge.delta(&golden, &b).expect("expressible (template path)");
-        // An un-cached forge of the same delta must agree byte for
-        // byte with the template fast path.
-        let mut fresh_forge = PartialForge::new(&golden).expect("analyzes");
-        let fresh = fresh_forge.delta(&golden, &b).expect("expressible");
-        assert_eq!(second.stream.as_bytes(), fresh.stream.as_bytes());
-        assert_ne!(first.stream.as_bytes(), second.stream.as_bytes());
-        assert!(second.stream.parse().expect("parses").crc_checked);
-        // A third reforge returning to the first edit must reproduce
-        // the originally-assembled stream exactly (templates must not
-        // drift as they are reused).
-        let third = forge.delta(&golden, &a).expect("expressible (template path)");
-        assert_eq!(third.stream.as_bytes(), first.stream.as_bytes());
-        assert!(third.stream.parse().expect("parses").crc_checked);
-    }
-
-    #[test]
     fn structural_or_invalid_crc_candidates_fall_back() {
         let golden = sample(6, 0xBEE);
         let payload = golden.fdri_data_range().expect("payload");
-        let mut forge = PartialForge::new(&golden).expect("analyzes");
+        let forge = PartialForge::new(&golden).expect("analyzes");
 
         // A candidate with a broken stored CRC: the device must still
         // refuse it, so it cannot ship as a (valid) delta.
@@ -751,7 +594,7 @@ mod tests {
         // delta must cover both A's frame (reverting it) and B's.
         let golden = sample(16, 0x1CE);
         let payload = golden.fdri_data_range().expect("payload");
-        let mut forge = PartialForge::new(&golden).expect("analyzes");
+        let forge = PartialForge::new(&golden).expect("analyzes");
         let with_edit = |frame: usize| {
             let mut cand = golden.clone();
             cand.as_mut_bytes()[payload.start + frame * FRAME_BYTES + 5] ^= 0xFF;
@@ -770,62 +613,6 @@ mod tests {
             cfg.runs[0].frames.as_bytes(),
             &golden.as_bytes()[payload.start + 2 * FRAME_BYTES..payload.start + 3 * FRAME_BYTES]
         );
-    }
-
-    /// The block-skipping diff names exactly the payload words a
-    /// byte-by-byte walk names, and refuses exactly the pairs that
-    /// differ outside the payload and the stored CRC word.
-    #[test]
-    fn payload_word_diff_matches_a_byte_by_byte_reference() {
-        let golden = sample(24, 7);
-        let forge = PartialForge::new(&golden).expect("analyzes");
-        let reference = |a: &[u8], b: &[u8]| -> Option<Vec<usize>> {
-            let mut words: Vec<usize> = Vec::new();
-            for (pos, (x, y)) in a.iter().zip(b).enumerate() {
-                if x == y {
-                    continue;
-                }
-                if forge.payload.contains(&pos) {
-                    let w = (pos - forge.payload.start) / 4;
-                    if words.last() != Some(&w) {
-                        words.push(w);
-                    }
-                } else if !forge.crc_word.contains(&pos) {
-                    return None;
-                }
-            }
-            Some(words)
-        };
-        let mut x = 0x5EED_0FD1_FF00_0001u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let (mut refused, mut accepted) = (0, 0);
-        for _ in 0..400 {
-            let mut pair = [golden.as_bytes().to_vec(), golden.as_bytes().to_vec()];
-            for side in &mut pair {
-                for _ in 0..next() % 6 {
-                    let pos = match next() % 16 {
-                        0 => (next() % forge.payload.start as u64) as usize,
-                        1 => forge.crc_word.start + (next() % 4) as usize,
-                        _ => forge.payload.start + (next() % forge.payload.len() as u64) as usize,
-                    };
-                    side[pos] ^= (next() % 255 + 1) as u8;
-                }
-            }
-            let [a, b] = &pair;
-            let want = reference(a, b);
-            if want.is_some() {
-                accepted += 1;
-            } else {
-                refused += 1;
-            }
-            assert_eq!(forge.payload_word_diff(a, b), want);
-        }
-        assert!(refused > 0 && accepted > 0, "both outcomes drawn: {refused} / {accepted}");
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   blocks that differ from the cached golden container (CBC
 //!   decryption is random-access: block `i` depends only on
 //!   ciphertext blocks `i-1` and `i`).
-//! * **CRC** — repaired in O(changed words × log stream) via
-//!   [`DeltaCrc`], never by re-walking the packet stream.
+//! * **CRC** — never touched: the oracle seals the bytes it is given,
+//!   and the attack's candidate forge has already priced each
+//!   variant's config CRC through [`crate::DeltaCrc`].
 //! * **MAC** — HMAC-SHA-256 inner-hash midstates are checkpointed
 //!   every [`MIDSTATE_STRIDE`] body bytes; a re-MAC resumes from the
 //!   last checkpoint before the first edited byte and absorbs only
@@ -53,9 +54,7 @@
 
 use core::cell::Cell;
 use core::fmt;
-use core::ops::Range;
 
-use crate::delta::DeltaCrc;
 use crate::image::Bitstream;
 
 use super::{
@@ -71,44 +70,10 @@ pub const BODY_OFFSET: usize = 48;
 /// buffer.
 pub const MIDSTATE_STRIDE: usize = 1024;
 
-/// A contiguous, length-preserving byte splice into the bitstream
-/// body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BodyEdit {
-    /// Byte offset into the bitstream body.
-    pub offset: usize,
-    /// Replacement bytes (the edit cannot grow or shrink the body —
-    /// CBC geometry is fixed at seal time).
-    pub bytes: Vec<u8>,
-}
-
-impl BodyEdit {
-    /// Convenience constructor.
-    #[must_use]
-    pub fn new(offset: usize, bytes: Vec<u8>) -> Self {
-        Self { offset, bytes }
-    }
-}
-
-/// An error from the patch paths.
+/// An error from [`PatchOracle::patch_bitstream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PatchError {
-    /// An edit extends past the end of the body.
-    OutOfRange {
-        /// The edit's byte offset.
-        offset: usize,
-        /// The edit's length.
-        len: usize,
-        /// The body length it overran.
-        body: usize,
-    },
-    /// Two edits overlap (the result would depend on application
-    /// order).
-    Overlap {
-        /// Offset of the second edit of the overlapping pair.
-        offset: usize,
-    },
     /// A variant bitstream changed length; CBC geometry is fixed at
     /// seal time, so only same-length variants can be patched.
     LengthChanged {
@@ -117,33 +82,13 @@ pub enum PatchError {
         /// The golden length.
         want: usize,
     },
-    /// CRC repair was requested but the golden stream has no
-    /// [`DeltaCrc`]-coverable FDRI payload (no payload, or a stream
-    /// shape the delta model declines).
-    CrcUnrepairable,
-    /// A CRC-repaired edit fell outside the FDRI payload, where the
-    /// delta model cannot price its CRC contribution.
-    OutsidePayload {
-        /// The offending edit's byte offset.
-        offset: usize,
-    },
 }
 
 impl fmt::Display for PatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PatchError::OutOfRange { offset, len, body } => {
-                write!(f, "edit at {offset}+{len} overruns the {body}-byte body")
-            }
-            PatchError::Overlap { offset } => write!(f, "overlapping edit at offset {offset}"),
             PatchError::LengthChanged { got, want } => {
                 write!(f, "variant is {got} bytes, sealed geometry is fixed at {want}")
-            }
-            PatchError::CrcUnrepairable => {
-                write!(f, "no delta-CRC coverage: the stream has no analyzable FDRI payload")
-            }
-            PatchError::OutsidePayload { offset } => {
-                write!(f, "edit at offset {offset} is outside the FDRI payload")
             }
         }
     }
@@ -198,10 +143,6 @@ pub struct PatchOracle {
     /// HMAC inner midstates under the embedded `k_auth`, for the
     /// device-side seekable verify.
     auth_midstates: Vec<HmacSha256>,
-    /// Delta-CRC analysis of the golden stream, when coverable.
-    delta: Option<DeltaCrc>,
-    /// The FDRI payload range, when present.
-    payload: Option<Range<usize>>,
     stats: Cell<PatchStats>,
 }
 
@@ -209,10 +150,9 @@ impl fmt::Debug for PatchOracle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "PatchOracle(body: {} bytes, container: {} blocks, delta-crc: {})",
+            "PatchOracle(body: {} bytes, container: {} blocks)",
             self.golden.len(),
             self.golden_ct.len() / 16,
-            self.delta.is_some(),
         )
     }
 }
@@ -232,8 +172,6 @@ impl PatchOracle {
             aes.cbc_decrypt(&sealed.iv, &sealed.ciphertext).map_err(OpenSecureError::Decrypt)?;
         let (body_range, k_auth) = parse_and_verify_plain(&plain)?;
         let golden = Bitstream::from_bytes(plain[body_range.clone()].to_vec());
-        let payload = golden.fdri_data_range();
-        let delta = payload.as_ref().and_then(|p| DeltaCrc::analyze(&golden, p));
         let midstates = Self::build_midstates(&k_auth, golden.as_bytes());
         Ok(Self {
             aes,
@@ -244,8 +182,6 @@ impl PatchOracle {
             golden,
             mac_midstates: midstates.clone(),
             auth_midstates: midstates,
-            delta,
-            payload,
             plain,
             stats: Cell::new(PatchStats::default()),
         })
@@ -304,10 +240,9 @@ impl PatchOracle {
 
     /// Seals a candidate variant of the golden bitstream, re-touching
     /// only the dirty window. The variant must be the same length and
-    /// carry its own valid config CRC (the attack's candidate forge
-    /// already delta-patches it); use
-    /// [`PatchOracle::patch_payload_edits`] to have the oracle repair
-    /// the CRC itself.
+    /// carry whatever config CRC the device should see (the attack's
+    /// candidate forge already delta-patches it): the oracle seals the
+    /// bytes it is given.
     ///
     /// # Errors
     ///
@@ -328,88 +263,6 @@ impl PatchOracle {
             }
             Some(first) => Ok(self.reseal(variant.as_bytes(), first.start)),
         }
-    }
-
-    /// Applies raw body edits (caller-supplied CRC) and seals.
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::OutOfRange`] / [`PatchError::Overlap`] on
-    /// malformed edit lists.
-    pub fn patch_edits(&self, edits: &[BodyEdit]) -> Result<SecureBitstream, PatchError> {
-        let Some(first_changed) = self.check_edits(edits)? else {
-            return self.patch_bitstream(&self.golden.clone());
-        };
-        let mut body = self.golden.as_bytes().to_vec();
-        for e in edits {
-            body[e.offset..e.offset + e.bytes.len()].copy_from_slice(&e.bytes);
-        }
-        Ok(self.reseal(&body, first_changed))
-    }
-
-    /// Applies frame-payload edits, repairs the config CRC via the
-    /// cached [`DeltaCrc`] analysis, and seals — the candidate-LUT
-    /// fast path: the caller supplies only the LUT delta and the
-    /// oracle prices the CRC in O(changed words × log stream).
-    ///
-    /// # Errors
-    ///
-    /// [`PatchError::CrcUnrepairable`] when the golden stream has no
-    /// delta-coverable payload, [`PatchError::OutsidePayload`] when an
-    /// edit leaves it, plus the edit-list errors of
-    /// [`PatchOracle::patch_edits`].
-    pub fn patch_payload_edits(&self, edits: &[BodyEdit]) -> Result<SecureBitstream, PatchError> {
-        let (Some(delta), Some(payload)) = (&self.delta, &self.payload) else {
-            return Err(PatchError::CrcUnrepairable);
-        };
-        let Some(first_edit) = self.check_edits(edits)? else {
-            return self.patch_bitstream(&self.golden.clone());
-        };
-        let mut words: Vec<usize> = Vec::new();
-        for e in edits {
-            if e.offset < payload.start || e.offset + e.bytes.len() > payload.end {
-                return Err(PatchError::OutsidePayload { offset: e.offset });
-            }
-            let first_word = (e.offset - payload.start) / 4;
-            let last_word = (e.offset + e.bytes.len() - 1 - payload.start) / 4;
-            words.extend(first_word..=last_word);
-        }
-        words.sort_unstable();
-        words.dedup();
-        let mut body = self.golden.as_bytes().to_vec();
-        for e in edits {
-            body[e.offset..e.offset + e.bytes.len()].copy_from_slice(&e.bytes);
-        }
-        delta.patch(self.golden.as_bytes(), &mut body, payload.start, &words);
-        let first_changed = if self.golden.as_bytes()
-            [delta.crc_value_at()..delta.crc_value_at() + 4]
-            == body[delta.crc_value_at()..delta.crc_value_at() + 4]
-        {
-            first_edit
-        } else {
-            first_edit.min(delta.crc_value_at())
-        };
-        Ok(self.reseal(&body, first_changed))
-    }
-
-    /// Validates an edit list; returns the first changed body offset,
-    /// or `None` for an empty list.
-    fn check_edits(&self, edits: &[BodyEdit]) -> Result<Option<usize>, PatchError> {
-        let body = self.golden.len();
-        for e in edits {
-            if e.offset + e.bytes.len() > body {
-                return Err(PatchError::OutOfRange { offset: e.offset, len: e.bytes.len(), body });
-            }
-        }
-        let mut spans: Vec<(usize, usize)> =
-            edits.iter().map(|e| (e.offset, e.offset + e.bytes.len())).collect();
-        spans.sort_unstable();
-        for pair in spans.windows(2) {
-            if pair[1].0 < pair[0].1 {
-                return Err(PatchError::Overlap { offset: pair[1].0 });
-            }
-        }
-        Ok(spans.first().map(|&(start, _)| start))
     }
 
     /// Seals `body` (a same-length variant of the golden body whose
@@ -468,7 +321,7 @@ impl PatchOracle {
     /// Exactly [`SecureBitstream::open`]'s errors.
     pub fn open_patched(&self, sealed: &SecureBitstream) -> Result<Bitstream, OpenSecureError> {
         if sealed.iv != self.iv || sealed.ciphertext.len() != self.golden_ct.len() {
-            return self.open_full(sealed);
+            return self.open_fresh(sealed).map(Bitstream::from_bytes);
         }
         let ct = &sealed.ciphertext;
         let first_dirty = (0..ct.len() / 16)
@@ -483,7 +336,7 @@ impl PatchOracle {
         };
         if fd < BODY_OFFSET / 16 {
             // Header blocks touched: no clean prefix to lean on.
-            return self.open_full(sealed);
+            return self.open_fresh(sealed).map(Bitstream::from_bytes);
         }
 
         // Seek-decrypt the dirty suffix (CBC block `i` needs only
@@ -561,10 +414,11 @@ impl PatchOracle {
         SecureBitstream { iv: self.iv, ciphertext }
     }
 
-    /// Device-side open of a fresh (non-golden-geometry) container:
-    /// full decrypt + structural + `K_A` + MAC verification, exactly
-    /// as [`SecureBitstream::open`] under the construction key.
-    /// Returns the raw body bytes.
+    /// Device-side open of a fresh (non-golden-geometry) container,
+    /// and the fallback of [`PatchOracle::open_patched`] for containers
+    /// it cannot relate to the golden one: full decrypt + structural +
+    /// `K_A` + MAC verification, exactly as [`SecureBitstream::open`]
+    /// under the construction key. Returns the raw body bytes.
     ///
     /// # Errors
     ///
@@ -581,22 +435,6 @@ impl PatchOracle {
         stats.blocks_decrypted += (sealed.ciphertext.len() / 16) as u64;
         self.stats.set(stats);
         Ok(plain[body_range].to_vec())
-    }
-
-    /// The slow-path open under the construction key, for containers
-    /// the seekable path cannot relate to the golden one.
-    fn open_full(&self, sealed: &SecureBitstream) -> Result<Bitstream, OpenSecureError> {
-        let plain = self
-            .aes
-            .cbc_decrypt(&sealed.iv, &sealed.ciphertext)
-            .map_err(OpenSecureError::Decrypt)?;
-        let (body_range, _) = parse_and_verify_plain(&plain)?;
-        let mut stats = self.stats.get();
-        stats.opens += 1;
-        stats.full_opens += 1;
-        stats.blocks_decrypted += (sealed.ciphertext.len() / 16) as u64;
-        self.stats.set(stats);
-        Ok(Bitstream::from_bytes(plain[body_range].to_vec()))
     }
 }
 
@@ -703,29 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_edit_mode_repairs_crc() {
-        let (golden, oracle) = oracle(4, 4);
-        let payload = golden.fdri_data_range().expect("payload");
-        let edit = BodyEdit::new(payload.start + 128, vec![0xDE, 0xAD, 0xBE, 0xEF]);
-        let patched = oracle.patch_payload_edits(std::slice::from_ref(&edit)).expect("patches");
-        let opened = patched.open(&K_ENC).expect("device opens: CRC was repaired");
-        assert!(opened.bitstream.parse().expect("parses").crc_checked);
-        assert_eq!(
-            &opened.bitstream.as_bytes()[payload.start + 128..payload.start + 132],
-            &[0xDE, 0xAD, 0xBE, 0xEF],
-        );
-        // Raw mode with the same edit and no CRC repair is refused by
-        // the device model's parser.
-        let raw = oracle.patch_edits(&[edit]).expect("raw mode seals");
-        let opened_raw =
-            raw.open(&K_ENC).expect("MAC still verifies — raw mode MACs what it is given");
-        assert!(matches!(
-            opened_raw.bitstream.parse(),
-            Err(crate::image::ParseBitstreamError::CrcMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn open_patched_matches_full_open() {
         let (golden, oracle) = oracle(4, 5);
         let mut variant = golden.clone();
@@ -777,25 +592,15 @@ mod tests {
 
     #[test]
     fn edit_list_validation() {
+        // The only edit the sealed geometry refuses is a length change.
         let (golden, oracle) = oracle(2, 8);
-        let n = golden.len();
-        assert!(matches!(
-            oracle.patch_edits(&[BodyEdit::new(n - 1, vec![0, 0])]),
-            Err(PatchError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            oracle.patch_edits(&[BodyEdit::new(10, vec![0; 8]), BodyEdit::new(12, vec![1])]),
-            Err(PatchError::Overlap { offset: 12 })
-        ));
         let mut grown = golden.clone().into_bytes();
         grown.push(0);
-        assert!(matches!(
+        assert_eq!(
             oracle.patch_bitstream(&Bitstream::from_bytes(grown)),
-            Err(PatchError::LengthChanged { .. })
-        ));
-        assert!(matches!(
-            oracle.patch_payload_edits(&[BodyEdit::new(0, vec![9])]),
-            Err(PatchError::OutsidePayload { offset: 0 })
-        ));
+            Err(PatchError::LengthChanged { got: golden.len() + 1, want: golden.len() })
+        );
+        let shrunk = Bitstream::from_bytes(golden.as_bytes()[1..].to_vec());
+        assert!(matches!(oracle.patch_bitstream(&shrunk), Err(PatchError::LengthChanged { .. })));
     }
 }

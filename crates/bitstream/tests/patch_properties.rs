@@ -1,12 +1,13 @@
-//! Patch-oracle properties: for *any* edit list, a sealed patch must
-//! be byte-identical to a from-scratch reseal of the edited body — the
-//! dirty-window optimisation is pure bookkeeping, never semantics.
+//! Patch-oracle properties: for *any* variant of the golden body, a
+//! sealed patch must be byte-identical to a from-scratch reseal of the
+//! variant — the dirty-window optimisation is pure bookkeeping, never
+//! semantics.
 //! And the seekable device-side open must be total: any garbled,
 //! truncated or foreign container yields exactly the typed error the
 //! full open yields, never a panic.
 
 use bitstream::{
-    Bitstream, BitstreamBuilder, BodyEdit, FrameData, OpenSecureError, PatchError, PatchOracle,
+    Bitstream, BitstreamBuilder, FrameData, OpenSecureError, PatchError, PatchOracle,
     SecureBitstream, BODY_OFFSET,
 };
 use proptest::prelude::*;
@@ -33,59 +34,60 @@ fn oracle(frames: usize, seed: u64) -> (Bitstream, PatchOracle) {
     (bs, oracle)
 }
 
-/// Raw generator output → edit list. Offsets land anywhere in (and
-/// slightly past) the body so `OutOfRange` is exercised too.
-fn to_edits(raw: &[(u64, u8, u8)], body: usize) -> Vec<BodyEdit> {
-    raw.iter()
-        .map(|&(pos, len, fill)| {
-            let len = usize::from(len % 4) + 1;
-            let offset = (pos as usize) % (body + 8);
-            BodyEdit::new(offset, vec![fill; len])
-        })
-        .collect()
+/// Raw generator output → a variant of `golden`: each `(pos, len,
+/// fill)` overwrites up to four bytes anywhere in the body (the last
+/// ones clipped at its end), so headers, payload and CRC word are all
+/// hit and a draw may also leave the body unchanged.
+fn variant_of(golden: &Bitstream, raw: &[(u64, u8, u8)]) -> Bitstream {
+    let mut body = golden.as_bytes().to_vec();
+    let n = body.len();
+    for &(pos, len, fill) in raw {
+        let offset = (pos as usize) % n;
+        let end = (offset + usize::from(len % 4) + 1).min(n);
+        body[offset..end].fill(fill);
+    }
+    Bitstream::from_bytes(body)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any edit list either fails typed (overlap / out of range) or
-    /// seals to *exactly* the container a from-scratch reseal of the
-    /// edited body produces — and the device accepts it.
+    /// Any same-length variant seals to *exactly* the container a
+    /// from-scratch reseal of it produces — and the device accepts
+    /// it; a length change is refused typed.
     #[test]
     fn patched_containers_equal_full_reseals(
         frames in 1usize..4,
         seed in any::<u64>(),
         raw in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u8>()), 0..4),
+        grow in any::<bool>(),
     ) {
         let (bs, oracle) = oracle(frames, seed);
-        let edits = to_edits(&raw, bs.len());
-        match oracle.patch_edits(&edits) {
-            Err(PatchError::OutOfRange { .. } | PatchError::Overlap { .. }) => {}
-            Err(e) => prop_assert!(false, "unexpected patch error: {e}"),
-            Ok(patched) => {
-                let mut body = bs.as_bytes().to_vec();
-                for e in &edits {
-                    body[e.offset..e.offset + e.bytes.len()].copy_from_slice(&e.bytes);
-                }
-                let edited = Bitstream::from_bytes(body.clone());
-                let resealed = SecureBitstream::seal(&edited, &K_ENC, &K_AUTH, IV);
-                prop_assert_eq!(&patched, &resealed, "patch must equal the full reseal");
+        let variant = variant_of(&bs, &raw);
+        if grow {
+            let grown = Bitstream::from_bytes([variant.as_bytes(), &[0u8][..]].concat());
+            prop_assert_eq!(
+                oracle.patch_bitstream(&grown),
+                Err(PatchError::LengthChanged { got: bs.len() + 1, want: bs.len() })
+            );
+        }
+        let patched = oracle.patch_bitstream(&variant).expect("same-length variants seal");
+        let resealed = SecureBitstream::seal(&variant, &K_ENC, &K_AUTH, IV);
+        prop_assert_eq!(&patched, &resealed, "patch must equal the full reseal");
 
-                // HMAC verifies and the device sees the edited body.
-                let opened = patched.open(&K_ENC).expect("device opens the patched container");
-                prop_assert_eq!(opened.bitstream.as_bytes(), &body[..]);
+        // HMAC verifies and the device sees the variant.
+        let opened = patched.open(&K_ENC).expect("device opens the patched container");
+        prop_assert_eq!(&opened.bitstream, &variant);
 
-                // Ciphertext before the dirty window is untouched.
-                if let Some(first) = edits.iter().map(|e| e.offset).min() {
-                    let clean = (BODY_OFFSET + first) / 16 * 16;
-                    let golden_ct = oracle.golden_container().ciphertext;
-                    prop_assert_eq!(
-                        &patched.ciphertext[..clean],
-                        &golden_ct[..clean],
-                        "clean prefix blocks must be reused byte-for-byte"
-                    );
-                }
-            }
+        // Ciphertext before the dirty window is untouched.
+        if let Some(first) = bs.diff(&variant).first() {
+            let clean = (BODY_OFFSET + first.start) / 16 * 16;
+            let golden_ct = oracle.golden_container().ciphertext;
+            prop_assert_eq!(
+                &patched.ciphertext[..clean],
+                &golden_ct[..clean],
+                "clean prefix blocks must be reused byte-for-byte"
+            );
         }
     }
 
@@ -120,32 +122,6 @@ proptest! {
                 "seekable and full opens disagree: {seek:?} vs {full:?}"
             ),
         }
-    }
-
-    /// Payload-mode edits always yield a container the device both
-    /// MAC-accepts and CRC-accepts — the oracle's delta-CRC repair is
-    /// part of the contract.
-    #[test]
-    fn payload_edits_always_reseal_with_a_valid_crc(
-        frames in 1usize..4,
-        seed in any::<u64>(),
-        pos in any::<u64>(),
-        word in any::<u32>(),
-    ) {
-        let (bs, oracle) = oracle(frames, seed);
-        let payload = bs.fdri_data_range().expect("payload");
-        let offset = payload.start + (pos as usize) % (payload.len() - 4) / 4 * 4;
-        let edit = BodyEdit::new(offset, word.to_be_bytes().to_vec());
-        let patched = oracle
-            .patch_payload_edits(std::slice::from_ref(&edit))
-            .expect("payload edits are always repairable");
-        let opened = patched.open(&K_ENC).expect("device opens");
-        let parsed = opened.bitstream.parse().expect("patched stream parses");
-        prop_assert!(parsed.crc_checked, "delta repair must leave a valid config CRC");
-        prop_assert_eq!(
-            &opened.bitstream.as_bytes()[offset..offset + 4],
-            &word.to_be_bytes()[..]
-        );
     }
 
     /// Arbitrary bytes never panic the constructor: any byte soup is

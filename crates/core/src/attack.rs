@@ -37,7 +37,7 @@ use snow3g::recover::{recover_key, RecoverKeyError, RecoveredSecret};
 use snow3g::{FaultSpec, FaultySnow3g, Iv, Key};
 
 use crate::candidates::{Catalogue, Role};
-use crate::edit::{CrcStrategy, EditSession, GoldenForge};
+use crate::edit::{CrcStrategy, GoldenForge};
 use crate::findlut::{LutHit, ScanConfigError, Scanner};
 use crate::oracle::{KeystreamOracle, OracleError};
 use crate::resilient::{ResilienceConfig, ResilienceError, ResilientOracle, ResilientStats};
@@ -892,13 +892,6 @@ impl<'a> Attack<'a> {
                     self.checkpoint.z_luts.iter().map(|z| (z.hit.l, z.hit.order)).collect();
                 let lattice = SiteLattice::infer(&samples, self.d);
                 drop(lattice_span);
-                if std::env::var_os("BITMOD_DEBUG").is_some() {
-                    eprintln!("[lattice] {lattice:?}");
-                    eprintln!(
-                        "[lattice] sample frames: {:?}",
-                        samples.iter().map(|(l, o)| (l / self.d, *o)).collect::<Vec<_>>()
-                    );
-                }
                 self.checkpoint.z_pass1 = std::mem::take(&mut self.checkpoint.z_luts);
                 self.checkpoint.lattice = Some(lattice);
                 self.advance_pass()?;
@@ -947,14 +940,6 @@ impl<'a> Attack<'a> {
             let _span = self.telemetry.span("phase:key-independent");
             if self.checkpoint.pass == 0 {
                 self.find_load_mux_halves(&lattice)?;
-                if std::env::var_os("BITMOD_DEBUG").is_some() {
-                    eprintln!(
-                        "[keyindep] fb_candidates={} halves={} m1b_hits={}",
-                        self.checkpoint.feedback_luts.len(),
-                        self.checkpoint.mux_halves.len(),
-                        m1b_hits.len()
-                    );
-                }
                 self.advance_pass()?;
             }
             let (feedback, bs) = self.select_feedback_subset(&m1b_hits)?;
@@ -1428,9 +1413,6 @@ impl<'a> Attack<'a> {
                 // converge.)
                 return Ok((feedback, bs));
             }
-            if std::env::var_os("BITMOD_DEBUG").is_some() {
-                eprintln!("[keyindep] drops={drops:?} got {:08x?}", &z[..2]);
-            }
             self.checkpoint.cursor += 1;
             self.save_journal()?;
         }
@@ -1444,8 +1426,9 @@ impl<'a> Attack<'a> {
     /// variants it has not yet seen.
     fn disambiguate_pairs(&mut self, keyindep: &Bitstream) -> Result<(), AttackError> {
         let f2 = self.catalogue.shape("f2").expect("f2 shape").clone();
+        let forge = GoldenForge::new(keyindep, self.d);
         let variant_bs = |this: &Self, variant: &crate::candidates::PairVariant| {
-            let mut session = EditSession::new(keyindep, this.d);
+            let mut session = forge.session();
             for z in &this.checkpoint.z_luts {
                 session.write_function(&z.hit, variant.faulted);
             }

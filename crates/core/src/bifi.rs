@@ -21,7 +21,7 @@ use bitstream::Bitstream;
 use snow3g::recover::recover_key;
 use snow3g::Key;
 
-use crate::edit::{CrcStrategy, EditSession};
+use crate::edit::{CrcStrategy, GoldenForge};
 use crate::findlut::LutHit;
 use crate::oracle::{KeystreamOracle, OracleError};
 
@@ -155,6 +155,7 @@ pub fn run(
     let payload = &golden.as_bytes()[range];
     let d = bitstream::FRAME_BYTES;
     let golden_keystream = oracle.keystream(golden, config.words)?;
+    let forge = GoldenForge::new(golden, d);
 
     let mut report = BifiReport::default();
     'campaign: for hit in candidate_positions(payload, d) {
@@ -165,7 +166,7 @@ pub fn run(
                 }
             }
             report.trials += 1;
-            let mut session = EditSession::new(golden, d);
+            let mut session = forge.session();
             session.write_init(&hit, rule.apply(hit.init));
             let bs = session.finish(CrcStrategy::Recompute);
             let z = match oracle.keystream(&bs, config.words) {

@@ -252,7 +252,8 @@ pub fn cmd_table2(bs: &Bitstream, d: usize, json: bool) -> Result<String, CliErr
 ///
 /// # Errors
 ///
-/// Propagates payload errors.
+/// Propagates payload errors, and refuses a zero stride as
+/// [`CliError::Config`].
 pub fn cmd_xorscan(
     bs: &Bitstream,
     d: usize,
@@ -261,7 +262,7 @@ pub fn cmd_xorscan(
     let range = bs.fdri_data_range().ok_or(CliError::NoPayload)?;
     let payload = &bs.as_bytes()[range];
     let w = window.map_or(0..payload.len(), |(a, b)| a..b.min(payload.len()));
-    let hits = xor_half_scan(payload, d, w.clone());
+    let hits = xor_half_scan(payload, d, w.clone())?;
     let mut out = String::new();
     use fmt::Write;
     let _ = writeln!(
@@ -586,6 +587,16 @@ mod tests {
         assert!(report.contains("XOR-half scan"));
         let windowed = cmd_xorscan(&bs, FRAME_BYTES, Some((0, 100)))?;
         assert!(windowed.contains("bytes 0..100"));
+        Ok(())
+    }
+
+    #[test]
+    fn xorscan_refuses_a_zero_stride() -> TestResult {
+        let bs = sample()?;
+        assert!(matches!(
+            cmd_xorscan(&bs, 0, None),
+            Err(CliError::Config(ScanConfigError::ZeroStride))
+        ));
         Ok(())
     }
 

@@ -15,8 +15,8 @@ use bitstream::Bitstream;
 
 use crate::attack::{AttackError, ZPathLut};
 use crate::candidates::Catalogue;
-use crate::edit::{CrcStrategy, EditSession};
-use crate::findlut::{scan_halves, LutHit, Scanner};
+use crate::edit::{CrcStrategy, GoldenForge};
+use crate::findlut::{LutHit, ScanConfigError, Scanner};
 use crate::oracle::KeystreamOracle;
 use crate::resilient::{ResilienceConfig, ResilientOracle};
 
@@ -136,10 +136,18 @@ pub fn xor_half_predicate(o5: TruthTable, o6: TruthTable) -> bool {
 }
 
 /// Counts the XOR-half LUT candidates in `payload` (optionally over a
-/// byte window).
-#[must_use]
-pub fn xor_half_scan(payload: &[u8], d: usize, window: core::ops::Range<usize>) -> Vec<LutHit> {
-    scan_halves(payload, d, window, xor_half_predicate)
+/// byte window), scanning in parallel.
+///
+/// # Errors
+///
+/// [`ScanConfigError::ZeroStride`] if the sub-vector stride `d` is 0.
+pub fn xor_half_scan(
+    payload: &[u8],
+    d: usize,
+    window: core::ops::Range<usize>,
+) -> Result<Vec<LutHit>, ScanConfigError> {
+    let scanner = Scanner::builder().stride(d).build()?;
+    Ok(scanner.scan_halves(payload, window, xor_half_predicate))
 }
 
 /// Evaluates the countermeasure against a protected device, following
@@ -205,6 +213,7 @@ pub fn evaluate_with(
 
     // Prune the z-path XORs: replace each candidate's XOR half with
     // constant 0 and look for the stuck-bit signature.
+    let forge = GoldenForge::new(golden, d);
     let mut z_path: Vec<ZPathLut> = Vec::new();
     let mut live = 0usize;
     for hit in &unconstrained {
@@ -213,7 +222,7 @@ pub fn evaluate_with(
             if halves[half as usize].as_xor_pair().is_none() {
                 continue;
             }
-            let mut session = EditSession::new(golden, d);
+            let mut session = forge.session();
             session.write_half(hit, half, TruthTable::zero(5));
             let z = oracle
                 .query(&session.finish(CrcStrategy::Recompute), words)

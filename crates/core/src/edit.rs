@@ -7,20 +7,19 @@
 //! either recomputed, or disabled by zeroing the CRC packet as in
 //! Section V-B of the paper.
 //!
-//! Two session types share that contract. [`EditSession`] is the
-//! straightforward one: clone, edit, re-walk the whole packet stream
-//! to recompute the CRC. [`GoldenForge`] + [`ForgeSession`] is the
-//! candidate fast path for attacks that forge thousands of one-LUT
-//! variants of the *same* golden image: the forge walks the golden
-//! stream once, caches where the CRC lives and how many register
-//! writes feed it, and then repairs each candidate's CRC from the
+//! One writer does this for every caller: a [`GoldenForge`] walks
+//! one golden stream once, caching where the CRC lives and how many
+//! register writes feed it, and each [`ForgeSession`] it starts edits
+//! a copy of the golden image and repairs the candidate's CRC from the
 //! byte *delta* alone. The configuration CRC is a linear feedback
 //! shift register, hence linear over GF(2) in (state, fed bits):
 //! `crc(golden ⊕ δ) = crc(golden) ⊕ L(δ)`, where `L` advances a
 //! 32-bit delta state through precomputed powers of the one-update
 //! transition matrix. A candidate edit costs one image clone plus
 //! O(edited words × log stream) XORs instead of a full re-walk —
-//! byte-identical to the slow path, which the test suite pins.
+//! byte-identical to [`Bitstream::recompute_crc`], which the test
+//! suite pins. Streams the delta model declines fall back to that
+//! full re-walk.
 
 use boolfn::{DualOutputInit, Permutation, TruthTable};
 
@@ -36,90 +35,6 @@ pub enum CrcStrategy {
     Recompute,
     /// Zero out the CRC packet (the paper's approach).
     Disable,
-}
-
-/// A bitstream being edited: tracks the FDRI payload region and
-/// repairs the CRC on [`EditSession::finish`].
-#[derive(Debug, Clone)]
-pub struct EditSession {
-    bitstream: Bitstream,
-    data_start: usize,
-    d: usize,
-}
-
-impl EditSession {
-    /// Starts editing a copy of `bitstream`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bitstream has no FDRI payload.
-    #[must_use]
-    pub fn new(bitstream: &Bitstream, d: usize) -> Self {
-        let range = bitstream.fdri_data_range().expect("bitstream has an FDRI payload");
-        Self { bitstream: bitstream.clone(), data_start: range.start, d }
-    }
-
-    /// The payload-relative base offset used by search hits.
-    #[must_use]
-    pub fn data_start(&self) -> usize {
-        self.data_start
-    }
-
-    /// Writes `function` (a 6-variable table) at `hit`, permuted the
-    /// same way the original content was stored.
-    pub fn write_function(&mut self, hit: &LutHit, function: TruthTable) {
-        let stored = function.extend(6).permute(&extend_perm(&hit.perm));
-        self.write_init(hit, DualOutputInit::from_single(stored));
-    }
-
-    /// Writes a raw INIT value at `hit`.
-    pub fn write_init(&mut self, hit: &LutHit, init: DualOutputInit) {
-        let data = &mut self.bitstream.as_mut_bytes()[self.data_start..];
-        codec::write_lut(data, hit.location(self.d), init);
-    }
-
-    /// Replaces a single half of the INIT at `hit`: `half` 0 is the
-    /// `O5` (low) half, 1 the `O6` (high) half. The 5-variable
-    /// replacement is stored as-is (pin order preserved by the
-    /// caller).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not 0 or 1.
-    pub fn write_half(&mut self, hit: &LutHit, half: u8, function: TruthTable) {
-        assert!(half < 2, "half must be 0 (O5) or 1 (O6)");
-        let data = &self.bitstream.as_bytes()[self.data_start..];
-        let current = codec::read_lut(data, hit.location(self.d));
-        let bits = function.extend(5).bits() & 0xffff_ffff;
-        let new = if half == 0 {
-            (current.init() & 0xffff_ffff_0000_0000) | bits
-        } else {
-            (current.init() & 0x0000_0000_ffff_ffff) | (bits << 32)
-        };
-        self.write_init(hit, DualOutputInit::new(new));
-    }
-
-    /// Reads the INIT currently stored at `hit`.
-    #[must_use]
-    pub fn read_init(&self, hit: &LutHit) -> DualOutputInit {
-        let data = &self.bitstream.as_bytes()[self.data_start..];
-        codec::read_lut(data, hit.location(self.d))
-    }
-
-    /// Finalizes the edit, repairing the CRC.
-    #[must_use]
-    pub fn finish(mut self, crc: CrcStrategy) -> Bitstream {
-        match crc {
-            CrcStrategy::Recompute => {
-                let ok = self.bitstream.recompute_crc();
-                debug_assert!(ok, "bitstream had a CRC packet to patch");
-            }
-            CrcStrategy::Disable => {
-                self.bitstream.disable_crc();
-            }
-        }
-        self.bitstream
-    }
 }
 
 /// A cached analysis of one golden bitstream, from which thousands of
@@ -145,45 +60,24 @@ impl GoldenForge {
     ///
     /// # Panics
     ///
-    /// Panics if the bitstream has no FDRI payload (same contract as
-    /// [`EditSession::new`]).
+    /// Panics if the bitstream has no FDRI payload.
     #[must_use]
     pub fn new(bitstream: &Bitstream, d: usize) -> Self {
         let range = bitstream.fdri_data_range().expect("bitstream has an FDRI payload");
-        let delta = DeltaCrc::analyze(bitstream, &range);
+        let delta = DeltaCrc::analyze(bitstream);
         Self { golden: bitstream.clone(), data_start: range.start, d, delta }
     }
 
-    /// The golden bitstream this forge derives candidates from.
-    #[must_use]
-    pub fn golden(&self) -> &Bitstream {
-        &self.golden
-    }
-
-    /// The payload-relative base offset used by search hits.
-    #[must_use]
-    pub fn data_start(&self) -> usize {
-        self.data_start
-    }
-
-    /// Whether the delta fast path is active (`false` means every
-    /// session falls back to the full CRC re-walk).
-    #[must_use]
-    pub fn is_fast(&self) -> bool {
-        self.delta.is_some()
-    }
-
-    /// Starts forging one candidate: a fresh copy of the golden image
-    /// with the same write API as [`EditSession`].
+    /// Starts forging one candidate: a fresh copy of the golden image.
     #[must_use]
     pub fn session(&self) -> ForgeSession<'_> {
         ForgeSession { forge: self, bitstream: self.golden.clone(), touched: Vec::new() }
     }
 }
 
-/// One candidate being forged from a [`GoldenForge`]. Mirrors the
-/// [`EditSession`] API; [`ForgeSession::finish`] repairs the CRC from
-/// the accumulated edit delta instead of re-walking the stream.
+/// One candidate being forged from a [`GoldenForge`];
+/// [`ForgeSession::finish`] repairs the CRC from the accumulated edit
+/// delta instead of re-walking the stream.
 #[derive(Debug)]
 pub struct ForgeSession<'f> {
     forge: &'f GoldenForge,
@@ -238,7 +132,9 @@ impl ForgeSession<'_> {
     }
 
     /// Finalizes the candidate, repairing the CRC. Byte-identical to
-    /// [`EditSession::finish`] on the same sequence of writes.
+    /// applying the same writes to a copy of the golden image and then
+    /// calling [`Bitstream::recompute_crc`] (or
+    /// [`Bitstream::disable_crc`]).
     #[must_use]
     pub fn finish(mut self, crc: CrcStrategy) -> Bitstream {
         match crc {
@@ -247,12 +143,7 @@ impl ForgeSession<'_> {
                     let mut words = core::mem::take(&mut self.touched);
                     words.sort_unstable();
                     words.dedup();
-                    delta.patch(
-                        self.forge.golden.as_bytes(),
-                        self.bitstream.as_mut_bytes(),
-                        self.forge.data_start,
-                        &words,
-                    );
+                    delta.patch(self.bitstream.as_mut_bytes(), &words);
                 }
                 None => {
                     let ok = self.bitstream.recompute_crc();
@@ -306,6 +197,30 @@ mod tests {
         BitstreamBuilder::new(frames).build()
     }
 
+    /// The slow path the forge must match: `writes` applied by hand
+    /// to a copy of `bs`, then the CRC recomputed by a full re-walk or
+    /// disabled.
+    fn hand_edited(
+        bs: &Bitstream,
+        writes: &[(&LutHit, DualOutputInit)],
+        crc: CrcStrategy,
+    ) -> Bitstream {
+        let mut out = bs.clone();
+        let range = out.fdri_data_range().expect("payload");
+        for (hit, init) in writes {
+            codec::write_lut(
+                &mut out.as_mut_bytes()[range.clone()],
+                hit.location(FRAME_BYTES),
+                *init,
+            );
+        }
+        match crc {
+            CrcStrategy::Recompute => assert!(out.recompute_crc(), "a CRC packet to patch"),
+            CrcStrategy::Disable => assert_eq!(out.disable_crc(), 1),
+        }
+        out
+    }
+
     #[test]
     fn edit_at_hit_then_reparse() {
         let f2 = ((var(1) ^ var(2) ^ var(3)) & var(4) & var(5) & !var(6)).truth_table(6);
@@ -314,7 +229,8 @@ mod tests {
         let hits = find_lut(&bs.as_bytes()[range], f2);
         let hit = hits.iter().find(|h| h.l == 64).expect("hit at plant");
 
-        let mut session = EditSession::new(&bs, FRAME_BYTES);
+        let forge = GoldenForge::new(&bs, FRAME_BYTES);
+        let mut session = forge.session();
         session.write_function(hit, TruthTable::zero(6));
         let edited = session.finish(CrcStrategy::Recompute);
         let cfg = edited.parse().expect("CRC repaired");
@@ -334,7 +250,8 @@ mod tests {
         let bs = sample_bitstream_with(f, 0);
         let range = bs.fdri_data_range().unwrap();
         let hits = find_lut(&bs.as_bytes()[range], f);
-        let mut session = EditSession::new(&bs, FRAME_BYTES);
+        let forge = GoldenForge::new(&bs, FRAME_BYTES);
+        let mut session = forge.session();
         session.write_function(&hits[0], TruthTable::one(6));
         let edited = session.finish(CrcStrategy::Disable);
         let cfg = edited.parse().expect("parses");
@@ -354,7 +271,8 @@ mod tests {
         let hit = hits.iter().find(|h| h.l == 120).expect("found");
 
         let variant = (var(3) & var(4) & var(5) & !var(6)).truth_table(6);
-        let mut session = EditSession::new(&bs, FRAME_BYTES);
+        let forge = GoldenForge::new(&bs, FRAME_BYTES);
+        let mut session = forge.session();
         session.write_function(hit, variant);
         let got = session.read_init(hit);
         assert_eq!(got.o6(), variant.permute(&hit.perm));
@@ -369,18 +287,9 @@ mod tests {
         codec::write_lut(frames.as_mut_bytes(), loc, DualOutputInit::from_pair(a, b));
         let bs = BitstreamBuilder::new(frames).build();
 
-        let mut session = EditSession::new(&bs, FRAME_BYTES);
-        let hit = LutHit {
-            l: 10,
-            order: SubVectorOrder::SliceM,
-            perm: Permutation::identity(6),
-            init: session.read_init(&LutHit {
-                l: 10,
-                order: SubVectorOrder::SliceM,
-                perm: Permutation::identity(6),
-                init: DualOutputInit::new(0),
-            }),
-        };
+        let forge = GoldenForge::new(&bs, FRAME_BYTES);
+        let mut session = forge.session();
+        let hit = raw_hit(10, SubVectorOrder::SliceM);
         let repl = (!var(1) & var(2)).truth_table(5);
         session.write_half(&hit, 0, repl);
         let got = session.read_init(&hit);
@@ -396,20 +305,19 @@ mod tests {
     #[test]
     fn forge_single_write_matches_slow_path() {
         let f2 = ((var(1) ^ var(2) ^ var(3)) & var(4) & var(5) & !var(6)).truth_table(6);
-        let bs = sample_bitstream_with(f2, 64);
+        let p = Permutation::from_slice(&[3, 1, 5, 0, 2, 4]).unwrap();
+        let bs = sample_bitstream_with(f2.permute(&p), 64);
         let range = bs.fdri_data_range().unwrap();
         let hits = find_lut(&bs.as_bytes()[range], f2);
         let hit = hits.iter().find(|h| h.l == 64).expect("hit at plant");
 
+        let variant = (var(3) & var(4) & var(5) & !var(6)).truth_table(6);
+        let stored = DualOutputInit::from_single(variant.permute(&extend_perm(&hit.perm)));
+        let want = hand_edited(&bs, &[(hit, stored)], CrcStrategy::Recompute);
+
         let forge = GoldenForge::new(&bs, FRAME_BYTES);
-        assert!(forge.is_fast(), "builder output takes the delta path");
-
-        let mut slow = EditSession::new(&bs, FRAME_BYTES);
-        slow.write_function(hit, TruthTable::zero(6));
-        let want = slow.finish(CrcStrategy::Recompute);
-
         let mut fast = forge.session();
-        fast.write_function(hit, TruthTable::zero(6));
+        fast.write_function(hit, variant);
         let got = fast.finish(CrcStrategy::Recompute);
 
         assert_eq!(got.as_bytes(), want.as_bytes(), "forge must be byte-identical");
@@ -423,17 +331,19 @@ mod tests {
         let a = raw_hit(64, SubVectorOrder::SliceL);
         let b = raw_hit(301, SubVectorOrder::SliceM);
         let half = (!var(1) & var(2)).truth_table(5);
+        let a_init = DualOutputInit::new(0xDEAD_BEEF_0BAD_F00D);
+        let b_init = DualOutputInit::new(0x0123_4567_89AB_CDEF);
 
-        let mut slow = EditSession::new(&bs, FRAME_BYTES);
-        slow.write_init(&a, DualOutputInit::new(0xDEAD_BEEF_0BAD_F00D));
-        slow.write_init(&b, DualOutputInit::new(0x0123_4567_89AB_CDEF));
-        slow.write_half(&b, 1, half);
-        let want = slow.finish(CrcStrategy::Recompute);
+        let want = hand_edited(
+            &bs,
+            &[(&a, a_init), (&b, DualOutputInit::from_pair(b_init.o5(), half))],
+            CrcStrategy::Recompute,
+        );
 
         let forge = GoldenForge::new(&bs, FRAME_BYTES);
         let mut fast = forge.session();
-        fast.write_init(&a, DualOutputInit::new(0xDEAD_BEEF_0BAD_F00D));
-        fast.write_init(&b, DualOutputInit::new(0x0123_4567_89AB_CDEF));
+        fast.write_init(&a, a_init);
+        fast.write_init(&b, b_init);
         fast.write_half(&b, 1, half);
         assert_eq!(fast.read_init(&b).o6_fractured(), half);
         let got = fast.finish(CrcStrategy::Recompute);
@@ -450,15 +360,14 @@ mod tests {
 
         // Untouched candidate: both paths just re-store the computed
         // CRC.
-        let want = EditSession::new(&bs, FRAME_BYTES).finish(CrcStrategy::Recompute);
+        let want = hand_edited(&bs, &[], CrcStrategy::Recompute);
         let got = forge.session().finish(CrcStrategy::Recompute);
         assert_eq!(got.as_bytes(), want.as_bytes());
 
         // Disable delegates to the same zeroing walk.
         let hit = raw_hit(0, SubVectorOrder::SliceL);
-        let mut slow = EditSession::new(&bs, FRAME_BYTES);
-        slow.write_function(&hit, TruthTable::one(6));
-        let want = slow.finish(CrcStrategy::Disable);
+        let one = DualOutputInit::from_single(TruthTable::one(6));
+        let want = hand_edited(&bs, &[(&hit, one)], CrcStrategy::Disable);
         let mut fast = forge.session();
         fast.write_function(&hit, TruthTable::one(6));
         let got = fast.finish(CrcStrategy::Disable);

@@ -400,7 +400,7 @@ mod tests {
         let golden = b.extract_bitstream();
         let sealed = demo_seal(&golden);
         let enc = EncryptedOracle::new(&b, PatchOracle::new(&sealed, &DEMO_K_ENC).expect("opens"));
-        let mut forge = bitstream::PartialForge::new(&golden).expect("forge");
+        let forge = bitstream::PartialForge::new(&golden).expect("forge");
         let range = golden.fdri_data_range().expect("payload");
         let mut image = golden.clone();
         let mut partials = Vec::new();

@@ -1,59 +1,56 @@
-//! Sequential dual-output half scan (Section VII-B) for predicates
-//! that are not [`Sync`]; the parallel equivalent is
-//! [`Scanner::scan_halves`](super::Scanner::scan_halves).
+//! The Section VII-B dual-output half scan over one run of byte
+//! positions. [`Scanner::scan_halves`](super::Scanner::scan_halves)
+//! splits a payload into frame-aligned chunks and runs this scan on
+//! each of them.
+
+use std::ops::Range;
 
 use bitstream::{codec, SubVectorOrder};
 use boolfn::{Permutation, TruthTable};
 
 use super::{stored_at, LutHit};
 
-/// Scans every byte position, decoding the dual-output LUT stored
-/// there under each sub-vector order, and reports positions where
-/// `predicate` accepts the two 5-variable halves `(O5, O6)`.
+/// Decodes the dual-output LUT stored at every byte position in
+/// `positions` (sub-vector stride `d`) under each sub-vector order,
+/// and appends to `out` the positions where `predicate` accepts the
+/// two 5-variable halves `(O5, O6)`. Positions rejected by
+/// `pos_filter` are skipped before anything is decoded.
 ///
-/// This is the Section VII-B search ("all LUTs having the 2-input XOR
-/// in one half of their truth table and any Boolean function of up to
-/// 5 dependent variables in another"), generalised to an arbitrary
-/// predicate. `range` restricts the scan (the paper's "constrained
-/// search over an interval of 200,000 byte positions").
+/// This is the paper's search for "all LUTs having the 2-input XOR in
+/// one half of their truth table and any Boolean function of up to 5
+/// dependent variables in another", generalised to an arbitrary
+/// predicate. Every position must leave room for the four stored
+/// sub-vectors (`l + 3d + 2 <= data.len()`); the scanner clamps its
+/// range before it gets here.
 ///
-/// Unlike [`Scanner::scan_halves`](super::Scanner::scan_halves) the
-/// predicate may be a stateful [`FnMut`], and the scan stays on the
-/// calling thread.
-///
-/// # Example
+/// The public entry point is the scanner:
 ///
 /// ```
-/// use bitmod::findlut::scan_halves;
+/// use bitmod::findlut::Scanner;
 /// use bitstream::FRAME_BYTES;
 ///
 /// let data = vec![0u8; 6 * FRAME_BYTES];
+/// let scanner = Scanner::builder().stride(FRAME_BYTES).build().unwrap();
 /// // Count LUTs whose O5 half is a 2-input XOR (none in zeroed data).
-/// let hits = scan_halves(&data, FRAME_BYTES, 0..data.len(), |o5, _| {
-///     o5.as_xor_pair().is_some()
-/// });
+/// let hits = scanner.scan_halves(&data, 0..data.len(), |o5, _| o5.as_xor_pair().is_some());
 /// assert!(hits.is_empty());
 /// ```
-#[must_use]
-pub fn scan_halves<P>(
+pub(super) fn scan_halves(
     data: &[u8],
     d: usize,
-    range: core::ops::Range<usize>,
-    mut predicate: P,
-) -> Vec<LutHit>
-where
-    P: FnMut(TruthTable, TruthTable) -> bool,
-{
-    let mut hits = Vec::new();
-    if data.len() < 3 * d + 2 {
-        return hits;
-    }
-    let last = (data.len() - (3 * d + 2)).min(range.end.saturating_sub(1));
-    for l in range.start..=last {
+    positions: Range<usize>,
+    pos_filter: &impl Fn(usize) -> bool,
+    predicate: &impl Fn(TruthTable, TruthTable) -> bool,
+    out: &mut Vec<LutHit>,
+) {
+    for l in positions {
+        if !pos_filter(l) {
+            continue;
+        }
         for order in SubVectorOrder::both() {
             let init = codec::decode(stored_at(data, l, d), order);
             if predicate(init.o5(), init.o6_fractured()) {
-                hits.push(LutHit { l, order, perm: Permutation::identity(6), init });
+                out.push(LutHit { l, order, perm: Permutation::identity(6), init });
                 // No break: a position can satisfy the predicate
                 // under both sub-vector orders, and only the order
                 // matching the hosting slice type survives the
@@ -61,7 +58,6 @@ where
             }
         }
     }
-    hits
 }
 
 #[cfg(test)]
@@ -70,6 +66,11 @@ mod tests {
     use bitstream::{LutLocation, FRAME_BYTES};
     use boolfn::expr::var;
     use boolfn::DualOutputInit;
+
+    /// Every position of `data` that holds four whole sub-vectors.
+    fn all_positions(data: &[u8]) -> Range<usize> {
+        0..data.len() - (3 * FRAME_BYTES + 2) + 1
+    }
 
     #[test]
     fn scan_halves_finds_xor_half() {
@@ -81,9 +82,17 @@ mod tests {
             LutLocation { l: 99, d: FRAME_BYTES, order: SubVectorOrder::SliceL },
             DualOutputInit::from_pair(xor, other),
         );
-        let hits = scan_halves(&data, FRAME_BYTES, 0..data.len(), |o5, o6| {
-            o5.as_xor_pair().is_some() || o6.as_xor_pair().is_some()
-        });
+        let mut hits = Vec::new();
+        scan_halves(
+            &data,
+            FRAME_BYTES,
+            all_positions(&data),
+            &|_| true,
+            &|o5: TruthTable, o6: TruthTable| {
+                o5.as_xor_pair().is_some() || o6.as_xor_pair().is_some()
+            },
+            &mut hits,
+        );
         assert!(hits.iter().any(|h| h.l == 99));
     }
 
@@ -96,18 +105,16 @@ mod tests {
             LutLocation { l: 900, d: FRAME_BYTES, order: SubVectorOrder::SliceL },
             DualOutputInit::from_pair(xor, xor),
         );
-        let hits = scan_halves(&data, FRAME_BYTES, 0..100, |o5, _| o5.as_xor_pair().is_some());
-        assert!(hits.iter().all(|h| h.l < 100));
-    }
-
-    #[test]
-    fn stateful_predicate_allowed() {
-        let data = vec![0u8; 6 * FRAME_BYTES];
-        let mut count = 0usize;
-        let _ = scan_halves(&data, FRAME_BYTES, 0..data.len(), |_, _| {
-            count += 1;
-            false
-        });
-        assert!(count > 0);
+        let is_xor = |o5: TruthTable, _: TruthTable| o5.as_xor_pair().is_some();
+        let scan = |positions: Range<usize>, pos_filter: &dyn Fn(usize) -> bool| {
+            let mut hits = Vec::new();
+            scan_halves(&data, FRAME_BYTES, positions, &pos_filter, &is_xor, &mut hits);
+            hits
+        };
+        assert!(scan(0..100, &|_| true).iter().all(|h| h.l < 100));
+        // The plant is found once its position is in range, and a
+        // position filter that rejects it hides it again.
+        assert!(scan(all_positions(&data), &|_| true).iter().any(|h| h.l == 900));
+        assert!(scan(all_positions(&data), &|l| l != 900).iter().all(|h| h.l != 900));
     }
 }

@@ -29,8 +29,7 @@
 //! [`Scanner::scan_halves`] is the complementary tool of Section
 //! VII-B: an exhaustive scan that decodes a whole dual-output LUT at
 //! every byte position and applies an arbitrary predicate to its two
-//! halves. The free function [`scan_halves`] is the sequential
-//! equivalent for non-[`Sync`] predicates.
+//! halves, over the same parallel chunks.
 
 use boolfn::{DualOutputInit, Permutation, TruthTable};
 
@@ -41,7 +40,6 @@ mod index;
 mod reference;
 mod scanner;
 
-pub use halves::scan_halves;
 pub use reference::find_lut_reference;
 pub use scanner::{ScanConfigError, ScanHit, Scanner, ScannerBuilder};
 

@@ -21,10 +21,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use boolfn::{Permutation, TruthTable};
+use boolfn::TruthTable;
 
 use bitstream::{codec, SubVectorOrder, FRAME_BYTES};
 
+use super::halves;
 use super::index::CandidateIndex;
 use super::{pack_stored, stored_at, LutHit};
 
@@ -289,21 +290,7 @@ impl Scanner {
             return Vec::new();
         }
         self.chunked(data, range.start..last + 1, |r, out: &mut Vec<LutHit>| {
-            for l in r {
-                if !pos_filter(l) {
-                    continue;
-                }
-                for order in SubVectorOrder::both() {
-                    let init = codec::decode(stored_at(data, l, self.d), order);
-                    if predicate(init.o5(), init.o6_fractured()) {
-                        out.push(LutHit { l, order, perm: Permutation::identity(6), init });
-                        // No break: a position can satisfy the
-                        // predicate under both sub-vector orders, and
-                        // only the order matching the hosting slice
-                        // type survives the caller's oracle tests.
-                    }
-                }
-            }
+            halves::scan_halves(data, self.d, r, &pos_filter, &predicate, out);
         })
     }
 
@@ -387,7 +374,7 @@ mod tests {
     use super::*;
     use bitstream::{codec, LutLocation};
     use boolfn::expr::var;
-    use boolfn::DualOutputInit;
+    use boolfn::{DualOutputInit, Permutation};
 
     fn noisy_payload(frames: usize, planted: &[(usize, SubVectorOrder, TruthTable)]) -> Vec<u8> {
         let mut data = vec![0u8; frames * FRAME_BYTES];
@@ -495,6 +482,31 @@ mod tests {
         assert!(one.scan(&[0u8; 64]).is_empty());
     }
 
+    /// The sequential Section VII-B half scan: every position in
+    /// `range`, both sub-vector orders, in order — the reference the
+    /// chunked parallel scan must reproduce.
+    fn scan_halves_sequential(
+        data: &[u8],
+        d: usize,
+        range: Range<usize>,
+        predicate: impl Fn(TruthTable, TruthTable) -> bool,
+    ) -> Vec<LutHit> {
+        let mut hits = Vec::new();
+        if data.len() < 3 * d + 2 {
+            return hits;
+        }
+        let last = (data.len() - (3 * d + 2)).min(range.end.saturating_sub(1));
+        for l in range.start..=last {
+            for order in SubVectorOrder::both() {
+                let init = codec::decode(stored_at(data, l, d), order);
+                if predicate(init.o5(), init.o6_fractured()) {
+                    hits.push(LutHit { l, order, perm: Permutation::identity(6), init });
+                }
+            }
+        }
+        hits
+    }
+
     #[test]
     fn scan_halves_parallel_matches_sequential_wrapper() {
         let xor = (var(2) ^ var(4)).truth_table(5);
@@ -511,7 +523,7 @@ mod tests {
         let par = scanner.scan_halves(&data, 0..data.len(), |o5, o6| {
             o5.as_xor_pair().is_some() || o6.as_xor_pair().is_some()
         });
-        let seq = super::super::scan_halves(&data, FRAME_BYTES, 0..data.len(), |o5, o6| {
+        let seq = scan_halves_sequential(&data, FRAME_BYTES, 0..data.len(), |o5, o6| {
             o5.as_xor_pair().is_some() || o6.as_xor_pair().is_some()
         });
         assert_eq!(par, seq);

@@ -103,9 +103,8 @@ impl<'a> PrOracle<'a> {
     /// to `candidate`. `None` means: no image yet, no forge, or the
     /// candidate is not delta-expressible — ship a full load.
     fn forge_delta(&self, candidate: &Bitstream) -> Option<PartialDelta> {
-        let mut st = self.state.lock().expect("pr state lock");
-        let st = &mut *st;
-        let (Some(forge), Some(image)) = (st.forge.as_mut(), st.image.as_ref()) else {
+        let st = self.state.lock().expect("pr state lock");
+        let (Some(forge), Some(image)) = (st.forge.as_ref(), st.image.as_ref()) else {
             return None;
         };
         forge.delta(image, candidate)
@@ -116,9 +115,8 @@ impl<'a> PrOracle<'a> {
     /// `None` if any lane is not delta-expressible — the whole batch
     /// then ships as full loads.
     fn forge_chain(&self, bitstreams: &[Bitstream]) -> Option<Vec<PartialDelta>> {
-        let mut st = self.state.lock().expect("pr state lock");
-        let st = &mut *st;
-        let (Some(forge), Some(image)) = (st.forge.as_mut(), st.image.as_ref()) else {
+        let st = self.state.lock().expect("pr state lock");
+        let (Some(forge), Some(image)) = (st.forge.as_ref(), st.image.as_ref()) else {
             return None;
         };
         let mut chain = Vec::with_capacity(bitstreams.len());

@@ -409,7 +409,7 @@ mod tests {
         let full_golden = one(&b, Load::Full(&golden), 6).expect("full load");
 
         // Forge a delta for a one-LUT edit and ship it partially.
-        let mut forge = bitstream::PartialForge::new(&golden).expect("analyzes");
+        let forge = bitstream::PartialForge::new(&golden).expect("analyzes");
         let mut cand = golden.clone();
         let range = cand.fdri_data_range().unwrap();
         let z0 = b.circuit.z_out[0];

@@ -410,13 +410,13 @@ impl Fpga {
     /// Decodes many bitstreams with per-item results, exactly as if
     /// each went through [`Fpga::decode_lut_inits`] — but
     /// differentially: the first accepted stream is walked in full and
-    /// becomes the reference; every later stream that differs from it
-    /// only inside the FDRI payload (and the stored CRC word) is
-    /// validated through the linear CRC delta
-    /// ([`bitstream::DeltaCrc`]) and re-reads only the LUTs whose
-    /// bytes changed. Streams the delta model does not cover fall back
-    /// to the full walk, so acceptance, rejection errors and decoded
-    /// INITs are bit-identical to the serial path in every case.
+    /// becomes the reference; every later stream that is
+    /// delta-expressible against it is validated through the linear
+    /// CRC delta ([`bitstream::DeltaCrc`]) and re-reads only the LUTs
+    /// that a changed payload word touches. Streams the delta model
+    /// does not cover fall back to the full walk, so acceptance,
+    /// rejection errors and decoded INITs are bit-identical to the
+    /// serial path in every case.
     #[must_use]
     pub fn decode_lut_inits_batch(
         &self,
@@ -434,7 +434,7 @@ impl Fpga {
                 let full = self.decode_lut_inits(bs);
                 if reference.is_none() {
                     if let Ok(inits) = &full {
-                        reference = RefDecode::analyze(bs, inits.clone());
+                        reference = DeltaCrc::analyze(bs).map(|delta| (delta, inits.clone()));
                     }
                 }
                 full
@@ -443,72 +443,28 @@ impl Fpga {
     }
 
     /// Differential decode of `bs` against the reference, or `None`
-    /// when the byte delta strays outside the payload/CRC-word region
-    /// the delta model covers (→ caller falls back to the full walk).
+    /// when `bs` is not delta-expressible against it (→ caller falls
+    /// back to the full walk).
     fn decode_against(
         &self,
-        r: &RefDecode,
+        (delta, ref_inits): &RefDecode,
         bs: &Bitstream,
     ) -> Option<Result<Vec<DualOutputInit>, ProgramError>> {
         let bytes = bs.as_bytes();
-        if bytes.len() != r.bytes.len() {
-            return None;
+        let words = delta.word_diff(delta.reference(), bytes)?;
+        if let Err(e) = delta.check(bytes, &words) {
+            return Some(Err(e.into()));
         }
-        let crc_word = r.delta.crc_value_at()..r.delta.crc_value_at() + 4;
-        let mut words: Vec<usize> = Vec::new();
-        let mut changed: Vec<usize> = Vec::new();
-        let payload_delta = for_each_diff(&r.bytes, bytes, |pos| {
-            if r.payload.contains(&pos) {
-                let b = pos - r.payload.start;
-                words.push(b / 4);
-                changed.extend(self.lut_at(b));
-                true
-            } else {
-                crc_word.contains(&pos)
-            }
-        });
-        if !payload_delta {
-            // A structural difference (headers, commands, a zeroed CRC
-            // packet): not expressible as a payload delta.
-            return None;
-        }
-        words.dedup();
-        let computed = r.delta.value_for(&r.bytes, bytes, r.payload.start, &words);
-        let stored = r.delta.stored(bytes);
-        if stored != computed {
-            return Some(Err(ProgramError::Bitstream(ParseBitstreamError::CrcMismatch {
-                stored,
-                computed,
-            })));
-        }
-        let mut inits = r.inits.clone();
-        self.reread(&bytes[r.payload.clone()], &mut inits, changed);
+        let luts = words.iter().flat_map(|&w| 4 * w..4 * w + 4).filter_map(|b| self.lut_at(b));
+        let mut inits = ref_inits.clone();
+        self.reread(&bytes[delta.payload()], &mut inits, luts.collect());
         Some(Ok(inits))
     }
 }
 
-/// The reference stream a [`Fpga::decode_lut_inits_batch`] call
-/// decodes later streams against.
-struct RefDecode {
-    /// Raw bytes of the reference bitstream.
-    bytes: Vec<u8>,
-    /// Byte range of the FDRI payload within `bytes`.
-    payload: core::ops::Range<usize>,
-    /// Differential-CRC analysis of the reference stream.
-    delta: DeltaCrc,
-    /// The reference stream's decoded INIT values.
-    inits: Vec<DualOutputInit>,
-}
-
-impl RefDecode {
-    /// Builds the reference from an accepted stream, or `None` when
-    /// the stream's structure defeats the delta model.
-    fn analyze(bs: &Bitstream, inits: Vec<DualOutputInit>) -> Option<Self> {
-        let payload = bs.fdri_data_range()?;
-        let delta = DeltaCrc::analyze(bs, &payload)?;
-        Some(Self { bytes: bs.as_bytes().to_vec(), payload, delta, inits })
-    }
-}
+/// The reference a [`Fpga::decode_lut_inits_batch`] call decodes later
+/// streams against: its differential-CRC analysis and decoded INITs.
+type RefDecode = (DeltaCrc, Vec<DualOutputInit>);
 
 fn net_count(db: &RoutingDb) -> usize {
     let mut max = 0usize;

@@ -1,7 +1,6 @@
 //! The Boolean-network representation `N = (V, E)`.
 
 use core::fmt;
-use std::collections::HashMap;
 
 /// Identifier of a node in a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -488,18 +487,6 @@ impl Network {
             }
         }
         self.topo_order().map(|_| ())
-    }
-
-    /// Per-name input index lookup (diagnostics).
-    #[must_use]
-    pub fn input_names(&self) -> HashMap<String, NodeId> {
-        self.inputs
-            .iter()
-            .map(|&id| match &self.nodes[id.index()].kind {
-                NodeKind::Input { name } => (name.clone(), id),
-                _ => unreachable!("inputs list only holds Input nodes"),
-            })
-            .collect()
     }
 }
 

@@ -176,12 +176,6 @@ impl Snow3g {
         self.lfsr.state()
     }
 
-    /// The current FSM registers `(R1, R2, R3)`.
-    #[must_use]
-    pub fn fsm_registers(&self) -> (u32, u32, u32) {
-        self.fsm.registers()
-    }
-
     /// Encrypts (or, identically, decrypts) `data` in place by XORing
     /// it with the keystream, consuming one keystream word per 4 bytes
     /// (big-endian), with a final partial word for trailing bytes.

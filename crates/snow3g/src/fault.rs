@@ -63,25 +63,12 @@ impl FaultSpec {
         Self { fsm_to_lfsr_zero: true, fsm_to_output_zero: true, load_zero: false }
     }
 
-    /// The paper's fault `α₁` alone: `v = 0` only on the feedback
-    /// path.
-    #[must_use]
-    pub fn alpha1() -> Self {
-        Self { fsm_to_lfsr_zero: true, fsm_to_output_zero: false, load_zero: false }
-    }
-
     /// The key-independent configuration of Section VI-D: `α₁ + β`.
     /// The LFSR stays all-0 forever, so the keystream equals the FSM
     /// output sequence — independent of `K` and `IV` (Table III).
     #[must_use]
     pub fn key_independent() -> Self {
         Self { fsm_to_lfsr_zero: true, fsm_to_output_zero: false, load_zero: true }
-    }
-
-    /// Whether any fault is active.
-    #[must_use]
-    pub fn is_any(self) -> bool {
-        self.fsm_to_lfsr_zero || self.fsm_to_output_zero || self.load_zero
     }
 }
 

@@ -1,8 +1,10 @@
 //! Configuration-CRC costs: the register-write CRC walked over every
 //! word of the golden stream (the work inside every full parse,
 //! delta analysis and CRC recompute), the byte CRC over the same
-//! bytes (the journal's and the attack's golden-stream guard), and a
-//! parse of a 4-frame partial stream (one partial lane's CRC check).
+//! bytes (the journal's and the attack's golden-stream guard), a full
+//! parse of the golden stream (one serial board load's stream check),
+//! and a parse of a 4-frame partial stream (one partial lane's CRC
+//! check).
 
 use bench::test_board;
 use bitstream::crc::{ByteCrc, ConfigCrc};
@@ -33,6 +35,7 @@ fn bench_crc(c: &mut Criterion) {
         });
     });
     g.bench_function("byte-golden", |b| b.iter(|| ByteCrc::of(golden.as_bytes())));
+    g.bench_function("parse-golden", |b| b.iter(|| golden.parse().expect("parses")));
     g.bench_function("parse-partial-4-frames", |b| {
         b.iter(|| partial.parse().expect("parses"));
     });

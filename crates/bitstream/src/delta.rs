@@ -5,10 +5,14 @@
 //! byte-delta `δ` confined to the FDRI payload,
 //! `crc(x ⊕ δ) = crc(x) ⊕ L(δ)`, where `L` advances a 32-bit delta
 //! state through precomputed powers of the one-update transition
-//! matrix. A [`DeltaCrc`] caches one slow walk of a reference stream
-//! (where the CRC value lives, how payload words map onto update
-//! indices, the doubling matrices) and then prices any variant's CRC
-//! at O(changed words × log stream) XORs instead of a full re-walk.
+//! matrix. A [`DeltaCrc`] caches one walk of a reference stream — the
+//! packet walker [`Bitstream::parse`] runs — (where the CRC value
+//! lives, how payload words map onto update indices, the doubling
+//! matrices) and then prices any variant's CRC at O(changed words ×
+//! log stream) XORs instead of a full re-walk. [`DeltaCrc::analyze`]
+//! declines every reference on which one stored CRC word does not
+//! carry the device's whole verdict, so the verdict below equals a
+//! full parse by construction.
 //!
 //! One rule sits on top of the analysis, and every caller that
 //! relates a stream to a reference goes through it: a variant is
@@ -27,8 +31,9 @@ use core::fmt;
 use core::ops::Range;
 
 use crate::crc::ConfigCrc;
+use crate::frame::FRAME_WORDS;
 use crate::image::{Bitstream, ParseBitstreamError};
-use crate::packet::{CommandCode, Packet, RegisterAddress, NOP, SYNC_WORD};
+use crate::packet::{RegisterAddress, Step, Walk};
 
 /// Bytes per block [`for_each_diff`] compares whole before it looks
 /// inside.
@@ -137,6 +142,8 @@ pub struct DeltaCrc {
     total_updates: u64,
     /// `pow[j]` advances a delta state by `2^j` zero-delta updates.
     pow: Vec<[u32; 32]>,
+    /// The device ID the reference writes.
+    idcode: Option<u32>,
 }
 
 impl fmt::Debug for DeltaCrc {
@@ -146,13 +153,21 @@ impl fmt::Debug for DeltaCrc {
 }
 
 impl DeltaCrc {
-    /// Walks `bs` exactly like [`Bitstream::recompute_crc`], recording
-    /// where the CRC lives and how the FDRI payload
-    /// ([`Bitstream::fdri_data_range`]) maps onto update indices.
-    /// Returns `None` (→ slow-path fallback) on any structure the
-    /// delta model does not cover: no or misaligned payload, an `RCRC`
-    /// reset after the payload starts, a payload not fed as one
-    /// contiguous run of updates, or no CRC packet at all.
+    /// Walks `bs` once, recording where the CRC lives and how the FDRI
+    /// payload ([`Bitstream::fdri_data_range`]) maps onto update
+    /// indices. Returns `None` (→ the caller takes the full walk) unless
+    /// the delta model covers the stream, which makes [`DeltaCrc::check`]
+    /// equal [`Bitstream::parse`] on every variant
+    /// [`DeltaCrc::word_diff`] admits:
+    ///
+    /// * the walk reads the stream to its end without an error, and
+    ///   its FDRI writes are a whole number of frames — so a variant's
+    ///   parse can fail only at its CRC write;
+    /// * the walk checks exactly one CRC write — so one stored word
+    ///   carries the whole verdict;
+    /// * the payload is fed as one contiguous run of FDRI writes before
+    ///   that CRC write, with no `RCRC` between the payload and it — so
+    ///   payload word `w` is update `first + w` of the value checked.
     #[must_use]
     pub fn analyze(bs: &Bitstream) -> Option<Self> {
         let payload = bs.fdri_data_range()?;
@@ -161,94 +176,69 @@ impl DeltaCrc {
             return None;
         }
         let bytes = bs.as_bytes();
-        let mut at = bs.find_word(SYNC_WORD, 0)? + 4;
-        let mut crc = ConfigCrc::new();
-        let mut last_addr: Option<RegisterAddress> = None;
+        let mut walk = Walk::new(bytes).ok()?;
+        // CRC updates since the last reset.
         let mut updates: u64 = 0;
+        // Update index of the first payload word.
         let mut first: Option<u64> = None;
-        let mut last: Option<u64> = None;
-        let note = |pos: usize, updates: u64, first: &mut Option<u64>, last: &mut Option<u64>| {
-            if pos == payload.start {
-                *first = Some(updates);
-            }
-            if pos + 4 == payload.end {
-                *last = Some(updates);
-            }
-        };
-        while at + 4 <= bytes.len() {
-            let word = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-            at += 4;
-            if word == 0 || word == NOP {
-                continue;
-            }
-            let h = Packet::decode_header(word);
-            match h.packet_type {
-                1 if h.opcode == 2 => {
-                    let addr = RegisterAddress::from_raw(h.addr)?;
-                    if addr == RegisterAddress::Crc {
-                        if at + 4 > bytes.len() {
+        // Value offset, running value and update count of the CRC write.
+        let mut check: Option<(usize, u32, u64)> = None;
+        let mut fdri_words = 0usize;
+        for step in walk.by_ref() {
+            match step.ok()? {
+                Step::Writes { at, reg, words, .. } => {
+                    let end = at + words.len();
+                    if (at..end).contains(&payload.start) {
+                        // The whole payload must lie in this one run of
+                        // FDRI writes, ahead of the CRC write.
+                        if reg != RegisterAddress::Fdri || check.is_some() || end < payload.end {
                             return None;
                         }
-                        let first = first?;
-                        // The payload must have been one contiguous
-                        // run of updates, or word→update arithmetic
-                        // is off.
-                        if last? != first + (payload.len() / 4 - 1) as u64 {
-                            return None;
-                        }
-                        let mut pow = vec![advance_matrix()];
-                        while (1u64 << pow.len()) < updates {
-                            pow.push(square(pow.last().expect("non-empty")));
-                        }
-                        return Some(DeltaCrc {
-                            reference: bytes.to_vec(),
-                            payload,
-                            crc_value_at: at,
-                            reference_crc: crc.value(),
-                            first_payload_update: first,
-                            total_updates: updates,
-                            pow,
-                        });
+                        first = Some(updates + (payload.start - at) as u64 / 4);
                     }
-                    for _ in 0..h.count_type1 {
-                        if at + 4 > bytes.len() {
-                            return None;
-                        }
-                        let v = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-                        if addr == RegisterAddress::Cmd && v == CommandCode::Rcrc as u32 {
-                            if first.is_some() {
-                                // A reset between payload and CRC
-                                // write would wipe the delta.
-                                return None;
-                            }
-                            crc.reset();
-                            updates = 0;
-                        } else {
-                            note(at, updates, &mut first, &mut last);
-                            crc.update(addr as u16, v);
-                            updates += 1;
-                        }
-                        at += 4;
-                    }
-                    last_addr = Some(addr);
+                    let n = words.len() / 4;
+                    fdri_words += if reg == RegisterAddress::Fdri { n } else { 0 };
+                    updates += n as u64;
                 }
-                2 if h.opcode == 2 => {
-                    let addr = last_addr?;
-                    for _ in 0..h.count_type2 {
-                        if at + 4 > bytes.len() {
-                            return None;
-                        }
-                        let v = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-                        note(at, updates, &mut first, &mut last);
-                        crc.update(addr as u16, v);
-                        updates += 1;
-                        at += 4;
+                Step::Reset { .. } => {
+                    if first.is_some() && check.is_none() {
+                        return None;
+                    }
+                    updates = 0;
+                }
+                Step::Crc { at, computed, .. } => {
+                    if check.replace((at, computed, updates)).is_some() {
+                        return None;
                     }
                 }
-                _ => {}
+                Step::Nop { .. } | Step::Packet { .. } => {}
             }
         }
-        None
+        let (crc_value_at, reference_crc, total_updates) = check?;
+        let first = first?;
+        if !fdri_words.is_multiple_of(FRAME_WORDS) {
+            return None;
+        }
+        let mut pow = vec![advance_matrix()];
+        while (1u64 << pow.len()) < total_updates {
+            pow.push(square(pow.last().expect("non-empty")));
+        }
+        Some(DeltaCrc {
+            reference: bytes.to_vec(),
+            payload,
+            crc_value_at,
+            reference_crc,
+            first_payload_update: first,
+            total_updates,
+            pow,
+            idcode: walk.idcode(),
+        })
+    }
+
+    /// The device ID the reference stream writes, as
+    /// [`Bitstream::parse`] reports it.
+    pub(crate) fn idcode(&self) -> Option<u32> {
+        self.idcode
     }
 
     /// The raw bytes of the analyzed reference stream.

@@ -77,53 +77,11 @@ impl FrameData {
     pub fn frame(&self, i: usize) -> &[u8] {
         &self.bytes[i * FRAME_BYTES..(i + 1) * FRAME_BYTES]
     }
-
-    /// Frame `i` as a mutable byte slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn frame_mut(&mut self, i: usize) -> &mut [u8] {
-        &mut self.bytes[i * FRAME_BYTES..(i + 1) * FRAME_BYTES]
-    }
-
-    /// The payload as big-endian configuration words.
-    #[must_use]
-    pub fn to_words(&self) -> Vec<u32> {
-        self.bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes(c.try_into().expect("chunk of 4")))
-            .collect()
-    }
-
-    /// Builds frame data from big-endian configuration words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count is not a multiple of [`FRAME_WORDS`].
-    #[must_use]
-    pub fn from_words(words: &[u32]) -> Self {
-        assert_eq!(words.len() % FRAME_WORDS, 0, "payload must be whole frames");
-        let mut bytes = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            bytes.extend_from_slice(&w.to_be_bytes());
-        }
-        Self { bytes }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn word_roundtrip() {
-        let mut f = FrameData::new(2);
-        f.as_mut_bytes()[0..4].copy_from_slice(&[0x30, 0x00, 0x40, 0x00]);
-        let words = f.to_words();
-        assert_eq!(words[0], 0x30004000);
-        assert_eq!(FrameData::from_words(&words), f);
-    }
 
     #[test]
     #[should_panic(expected = "whole frames")]
@@ -134,7 +92,7 @@ mod tests {
     #[test]
     fn frame_indexing() {
         let mut f = FrameData::new(3);
-        f.frame_mut(2)[0] = 0x55;
+        f.as_mut_bytes()[2 * FRAME_BYTES] = 0x55;
         assert_eq!(f.as_bytes()[2 * FRAME_BYTES], 0x55);
         assert_eq!(f.frame(1), &[0u8; FRAME_BYTES][..]);
     }

@@ -3,20 +3,33 @@
 //! A bitstream file consists of a header, the sync word, and a packet
 //! stream that resets the CRC (`RCRC`), writes device registers,
 //! streams the configuration frames into `FDRI`, writes the expected
-//! CRC, and desynchronizes. [`BitstreamBuilder`] produces such files;
-//! [`Bitstream::parse`] consumes them the way the device's
-//! configuration logic does — including the quirk the paper's
-//! CRC-disable trick relies on: all-zero words are ignored, so
-//! overwriting the `Write CRC` packet with zeros removes the check.
+//! CRC, and desynchronizes. [`BitstreamBuilder`] produces such files
+//! with the crate's one stream writer; [`Bitstream::parse`],
+//! [`Bitstream::recompute_crc`] and [`Bitstream::packets`] are loops
+//! over its one packet walker, which reads the stream the way the
+//! device's configuration logic does (see [`crate::packet`]) —
+//! including the quirk the paper's CRC-disable trick relies on:
+//! all-zero words are ignored, so overwriting the `Write CRC` packet
+//! with zeros removes the check. [`Bitstream::fdri_data_range`] and
+//! [`Bitstream::disable_crc`] are the paper's plain word searches
+//! instead: they model what the attacker does, not how the device
+//! reads.
 
 use core::fmt;
 use core::ops::Range;
 
-use crate::crc::ConfigCrc;
-use crate::frame::{FrameData, FRAME_WORDS};
+use crate::frame::{FrameData, FRAME_BYTES};
 use crate::packet::{
-    CommandCode, Packet, PacketEncodeError, RegisterAddress, BUS_WIDTH_DETECT, BUS_WIDTH_SYNC,
-    DUMMY_WORD, NOP, SYNC_WORD,
+    be_word, find_word, repair_crcs, type2_count, write_stream, Packet, PacketEncodeError,
+    RegisterAddress, Step, Walk, WalkError, BUS_WIDTH_DETECT, BUS_WIDTH_SYNC, DUMMY_WORD,
+};
+
+/// The full-file preamble before the sync word: dummy padding around
+/// the bus-width auto-detect words.
+const PREAMBLE: [u32; 12] = {
+    let mut words = [DUMMY_WORD; 12];
+    (words[8], words[9]) = (BUS_WIDTH_SYNC, BUS_WIDTH_DETECT);
+    words
 };
 
 /// Default device ID used by the builder.
@@ -75,58 +88,7 @@ impl BitstreamBuilder {
     /// Returns [`PacketEncodeError`] if the frame payload does not fit
     /// the Type 2 word-count field.
     pub fn try_build(self) -> Result<Bitstream, PacketEncodeError> {
-        let mut words: Vec<u32> = Vec::new();
-        // Header: dummy pad, bus width detection, sync.
-        words.extend([DUMMY_WORD; 8]);
-        words.push(BUS_WIDTH_SYNC);
-        words.push(BUS_WIDTH_DETECT);
-        words.extend([DUMMY_WORD; 2]);
-        words.push(SYNC_WORD);
-        words.push(NOP);
-
-        let mut crc = ConfigCrc::new();
-        let write1 = |words: &mut Vec<u32>,
-                      crc: &mut ConfigCrc,
-                      addr: RegisterAddress,
-                      vals: &[u32]|
-         -> Result<(), PacketEncodeError> {
-            words.push(Packet::type1_header(addr, vals.len())?);
-            for &v in vals {
-                words.push(v);
-                if addr != RegisterAddress::Crc {
-                    crc.update(addr as u16, v);
-                }
-            }
-            Ok(())
-        };
-
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Rcrc as u32])?;
-        crc.reset();
-        words.push(NOP);
-        write1(&mut words, &mut crc, RegisterAddress::Idcode, &[self.idcode])?;
-        write1(&mut words, &mut crc, RegisterAddress::Far, &[0])?;
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Wcfg as u32])?;
-        // FDRI: Type 1 header with count 0, then the Type 2 payload.
-        let payload = self.frames.to_words();
-        words.push(Packet::type1_header(RegisterAddress::Fdri, 0)?);
-        words.push(Packet::type2_header(payload.len())?);
-        for &w in &payload {
-            crc.update(RegisterAddress::Fdri as u16, w);
-            words.push(w);
-        }
-        // Expected CRC.
-        let expected = crc.value();
-        write1(&mut words, &mut crc, RegisterAddress::Crc, &[expected])?;
-        words.push(NOP);
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Start as u32])?;
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Desync as u32])?;
-        words.extend([NOP; 2]);
-
-        let mut bytes = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            bytes.extend_from_slice(&w.to_be_bytes());
-        }
-        Ok(Bitstream(bytes))
+        write_stream(&PREAMBLE, self.idcode, [(0, &self.frames)], 2).map(Bitstream)
     }
 }
 
@@ -191,6 +153,16 @@ impl fmt::Display for ParseBitstreamError {
 
 impl std::error::Error for ParseBitstreamError {}
 
+impl From<WalkError> for ParseBitstreamError {
+    fn from(e: WalkError) -> Self {
+        match e {
+            WalkError::NoSync => ParseBitstreamError::NoSync,
+            WalkError::Truncated => ParseBitstreamError::Truncated,
+            WalkError::UnknownRegister { raw } => ParseBitstreamError::UnknownRegister { raw },
+        }
+    }
+}
+
 /// A bitstream file: raw bytes plus the operations the attack needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream(Vec<u8>);
@@ -235,15 +207,7 @@ impl Bitstream {
     /// 4-byte-aligned offset at or after `from`.
     #[must_use]
     pub fn find_word(&self, word: u32, from: usize) -> Option<usize> {
-        let pat = word.to_be_bytes();
-        let mut at = from - (from % 4);
-        while at + 4 <= self.0.len() {
-            if self.0[at..at + 4] == pat {
-                return Some(at);
-            }
-            at += 4;
-        }
-        None
+        find_word(&self.0, word, from)
     }
 
     /// The byte range of the FDRI Type 2 payload — the region the LUT
@@ -253,13 +217,9 @@ impl Bitstream {
     pub fn fdri_data_range(&self) -> Option<Range<usize>> {
         let hdr = self.find_word(crate::packet::FDRI_WRITE_HEADER, 0)?;
         let t2_at = hdr + 4;
-        let t2 = u32::from_be_bytes(self.0.get(t2_at..t2_at + 4)?.try_into().ok()?);
-        let fields = Packet::decode_header(t2);
-        if fields.packet_type != 2 {
-            return None;
-        }
+        let t2 = be_word(self.0.get(t2_at..t2_at + 4)?);
         let start = t2_at + 4;
-        let end = start + fields.count_type2 * 4;
+        let end = start + type2_count(t2)? * 4;
         (end <= self.0.len()).then_some(start..end)
     }
 
@@ -283,61 +243,12 @@ impl Bitstream {
 
     /// Recomputes the configuration CRC after a modification and
     /// patches the stored value (the alternative to
-    /// [`Bitstream::disable_crc`]). Returns `true` if a CRC packet
-    /// was found and patched.
+    /// [`Bitstream::disable_crc`]): every CRC write the device checks
+    /// gets the value the device computes there, so [`Bitstream::parse`]
+    /// never refuses the result with a CRC mismatch. Returns `true` if
+    /// at least one CRC write was patched.
     pub fn recompute_crc(&mut self) -> bool {
-        // Walk packets, tracking the running CRC, until the CRC write.
-        let Some(mut at) = self.find_word(SYNC_WORD, 0) else { return false };
-        at += 4;
-        let mut crc = ConfigCrc::new();
-        let mut last_addr: Option<RegisterAddress> = None;
-        while at + 4 <= self.0.len() {
-            let word = u32::from_be_bytes(self.0[at..at + 4].try_into().expect("4 bytes"));
-            at += 4;
-            if word == 0 || word == NOP {
-                continue;
-            }
-            let h = Packet::decode_header(word);
-            match h.packet_type {
-                1 if h.opcode == 2 => {
-                    let Some(addr) = RegisterAddress::from_raw(h.addr) else { return false };
-                    if addr == RegisterAddress::Crc {
-                        let value = crc.value();
-                        if at + 4 > self.0.len() {
-                            return false;
-                        }
-                        self.0[at..at + 4].copy_from_slice(&value.to_be_bytes());
-                        return true;
-                    }
-                    for _ in 0..h.count_type1 {
-                        if at + 4 > self.0.len() {
-                            return false;
-                        }
-                        let v = u32::from_be_bytes(self.0[at..at + 4].try_into().expect("4 bytes"));
-                        if addr == RegisterAddress::Cmd && v == CommandCode::Rcrc as u32 {
-                            crc.reset();
-                        } else {
-                            crc.update(addr as u16, v);
-                        }
-                        at += 4;
-                    }
-                    last_addr = Some(addr);
-                }
-                2 if h.opcode == 2 => {
-                    let Some(addr) = last_addr else { return false };
-                    for _ in 0..h.count_type2 {
-                        if at + 4 > self.0.len() {
-                            return false;
-                        }
-                        let v = u32::from_be_bytes(self.0[at..at + 4].try_into().expect("4 bytes"));
-                        crc.update(addr as u16, v);
-                        at += 4;
-                    }
-                }
-                _ => {}
-            }
-        }
-        false
+        repair_crcs(&mut self.0)
     }
 
     /// Byte-level diff of two bitstreams: ranges (in absolute byte
@@ -363,62 +274,43 @@ impl Bitstream {
     }
 
     /// Decodes the packet stream for inspection tools: every packet
-    /// after the sync word, with its byte offset. Zero/NOP/dummy
-    /// words are skipped; decoding stops at `DESYNC` or at a word
-    /// that cannot be interpreted.
+    /// the device reads after the sync word, with its byte offset.
+    /// Zero and dummy words are skipped; the listing ends at `Desync`
+    /// or where [`Bitstream::parse`] would stop with an error.
     #[must_use]
     pub fn packets(&self) -> Vec<(usize, Packet)> {
-        let mut out = Vec::new();
-        let Some(mut at) = self.find_word(SYNC_WORD, 0) else { return out };
-        at += 4;
-        let read = |at: usize| -> Option<u32> {
-            self.0.get(at..at + 4).map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-        };
-        while let Some(word) = read(at) {
-            let start = at;
-            at += 4;
-            if word == 0 || word == DUMMY_WORD {
-                continue;
-            }
-            if word == NOP {
-                out.push((start, Packet::Nop));
-                continue;
-            }
-            let h = Packet::decode_header(word);
-            match (h.packet_type, h.opcode) {
-                (1, 2) => {
-                    let Some(addr) = RegisterAddress::from_raw(h.addr) else { break };
-                    let mut data = Vec::with_capacity(h.count_type1);
-                    for _ in 0..h.count_type1 {
-                        let Some(v) = read(at) else { return out };
-                        data.push(v);
-                        at += 4;
-                    }
-                    let desync = addr == RegisterAddress::Cmd
-                        && data.contains(&(CommandCode::Desync as u32));
-                    out.push((start, Packet::Type1Write { addr, data }));
-                    if desync {
-                        break;
-                    }
+        let mut out: Vec<(usize, Packet)> = Vec::new();
+        let Ok(walk) = Walk::new(&self.0) else { return out };
+        for step in walk.map_while(Result::ok) {
+            let words = match step {
+                Step::Nop { at } => {
+                    out.push((at, Packet::Nop));
+                    continue;
                 }
-                (2, 2) => {
-                    let mut data = Vec::with_capacity(h.count_type2.min(1 << 20));
-                    for _ in 0..h.count_type2 {
-                        let Some(v) = read(at) else { return out };
-                        data.push(v);
-                        at += 4;
-                    }
-                    out.push((start, Packet::Type2Write { data }));
+                Step::Packet { at, reg, long } => {
+                    let data = Vec::new();
+                    let packet = if long {
+                        Packet::Type2Write { data }
+                    } else {
+                        Packet::Type1Write { addr: reg, data }
+                    };
+                    out.push((at, packet));
+                    continue;
                 }
-                (1, 0) => out.push((start, Packet::Nop)),
-                _ => break,
+                Step::Writes { words, .. } => words,
+                Step::Reset { at } | Step::Crc { at, .. } => &self.0[at..at + 4],
+            };
+            if let Some((_, Packet::Type1Write { data, .. } | Packet::Type2Write { data })) =
+                out.last_mut()
+            {
+                data.extend(words.chunks_exact(4).map(be_word));
             }
         }
         out
     }
 
     /// Parses the bitstream the way the device configuration logic
-    /// does.
+    /// does (see the module docs).
     ///
     /// # Errors
     ///
@@ -426,98 +318,27 @@ impl Bitstream {
     /// not match the computed value aborts parsing, while an *absent*
     /// CRC write (zeroed packet) does not.
     pub fn parse(&self) -> Result<ConfigData, ParseBitstreamError> {
-        let mut at = self.find_word(SYNC_WORD, 0).ok_or(ParseBitstreamError::NoSync)? + 4;
-        let mut crc = ConfigCrc::new();
-        let mut last_addr: Option<RegisterAddress> = None;
-        let mut fdri: Vec<u32> = Vec::new();
-        let mut idcode = None;
+        let mut walk = Walk::new(&self.0)?;
+        let mut fdri: Vec<u8> = Vec::new();
         let mut crc_checked = false;
-
-        let read = |at: usize| -> Result<u32, ParseBitstreamError> {
-            self.0
-                .get(at..at + 4)
-                .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-                .ok_or(ParseBitstreamError::Truncated)
-        };
-
-        'stream: while at + 4 <= self.0.len() {
-            let word = read(at)?;
-            at += 4;
-            if word == 0 || word == NOP || word == DUMMY_WORD {
-                // Zero words are silently skipped — the behaviour the
-                // CRC-disable trick of the paper exploits.
-                continue;
-            }
-            let h = Packet::decode_header(word);
-            match (h.packet_type, h.opcode) {
-                (1, 2) => {
-                    let addr = RegisterAddress::from_raw(h.addr)
-                        .ok_or(ParseBitstreamError::UnknownRegister { raw: h.addr })?;
-                    let mut values = Vec::with_capacity(h.count_type1);
-                    for _ in 0..h.count_type1 {
-                        values.push(read(at)?);
-                        at += 4;
-                    }
-                    match addr {
-                        RegisterAddress::Crc => {
-                            let stored = *values.first().ok_or(ParseBitstreamError::Truncated)?;
-                            let computed = crc.value();
-                            if stored != computed {
-                                return Err(ParseBitstreamError::CrcMismatch { stored, computed });
-                            }
-                            crc_checked = true;
-                        }
-                        RegisterAddress::Cmd => {
-                            for &v in &values {
-                                if v == CommandCode::Rcrc as u32 {
-                                    crc.reset();
-                                } else {
-                                    crc.update(addr as u16, v);
-                                }
-                                if v == CommandCode::Desync as u32 {
-                                    break 'stream;
-                                }
-                            }
-                        }
-                        RegisterAddress::Idcode => {
-                            idcode = values.first().copied();
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                            }
-                        }
-                        RegisterAddress::Fdri => {
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                                fdri.push(v);
-                            }
-                        }
-                        _ => {
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                            }
-                        }
-                    }
-                    last_addr = Some(addr);
+        for step in walk.by_ref() {
+            match step? {
+                Step::Writes { reg: RegisterAddress::Fdri, words, .. } => {
+                    fdri.extend_from_slice(words);
                 }
-                (2, 2) => {
-                    let addr = last_addr.ok_or(ParseBitstreamError::Truncated)?;
-                    for _ in 0..h.count_type2 {
-                        let v = read(at)?;
-                        at += 4;
-                        crc.update(addr as u16, v);
-                        if addr == RegisterAddress::Fdri {
-                            fdri.push(v);
-                        }
+                Step::Crc { stored, computed, .. } => {
+                    if stored != computed {
+                        return Err(ParseBitstreamError::CrcMismatch { stored, computed });
                     }
+                    crc_checked = true;
                 }
-                (1, 0) => {} // packet-level NOP
-                _ => {}      // reads and reserved types are ignored
+                _ => {}
             }
         }
-        if !fdri.len().is_multiple_of(FRAME_WORDS) {
-            return Err(ParseBitstreamError::RaggedFrames { words: fdri.len() });
+        if !fdri.len().is_multiple_of(FRAME_BYTES) {
+            return Err(ParseBitstreamError::RaggedFrames { words: fdri.len() / 4 });
         }
-        Ok(ConfigData { frames: FrameData::from_words(&fdri), idcode, crc_checked })
+        Ok(ConfigData { frames: FrameData::from_bytes(fdri), idcode: walk.idcode(), crc_checked })
     }
 }
 
@@ -530,7 +351,7 @@ impl AsRef<[u8]> for Bitstream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_BYTES;
+    use crate::packet::{CommandCode, SYNC_WORD};
 
     fn sample(frames: usize) -> Bitstream {
         let mut data = FrameData::new(frames);

@@ -4,7 +4,9 @@
 //! attack (Section V):
 //!
 //! * configuration packets (Type 1 / Type 2), the `FDRI` register,
-//!   frames of 101 32-bit words ([`packet`], [`frame`]);
+//!   frames of 101 32-bit words ([`packet`], [`frame`]), with one
+//!   packet walker that every reader of a stream loops over and one
+//!   stream writer behind every encoder ([`packet`]);
 //! * the LUT-content permutation ξ of Table I ([`xi`]) and the
 //!   partitioning of a 64-bit LUT INIT into `r = 4` 16-bit
 //!   sub-vectors placed at a fixed byte offset `d` from each other,
@@ -12,7 +14,8 @@
 //! * the 32-bit configuration CRC: computation, verification,
 //!   re-computation after modification, and the disable-by-zeroing
 //!   trick of Section V-B ([`crc`], [`image`]);
-//! * bitstream assembly and parsing ([`image`]);
+//! * bitstream assembly and parsing ([`image`]), and partial
+//!   (frame-delta) streams ([`partial`]);
 //! * the Fig. 1 security container: AES-256-CBC encryption over an
 //!   HMAC-SHA-256-authenticated payload with the authentication key
 //!   stored *inside* the encrypted stream ([`secure`]).

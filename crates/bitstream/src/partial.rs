@@ -10,11 +10,12 @@
 //! * [`PartialBitstream`] is the wire form — sync header, `RCRC`,
 //!   `IDCODE`, then one `FAR`/`WCFG`/`FDRI` group per contiguous run
 //!   of touched frames, a CRC write over exactly the words shipped,
-//!   and `Start`/`Desync`;
-//! * [`PartialBitstream::parse`] consumes such streams the way the
-//!   configuration logic does (zero words skipped, `RCRC` resets,
-//!   stored-CRC compare), returning typed errors for anything
-//!   malformed;
+//!   and `Start`/`Desync` — written by the same routine as a full
+//!   bitstream, with a shorter preamble;
+//! * [`PartialBitstream::parse`] consumes such streams with the same
+//!   packet walker as [`Bitstream::parse`] (zero words skipped, `RCRC`
+//!   resets, stored-CRC compare) and splits the payload into runs at
+//!   each FAR write, returning typed errors for anything malformed;
 //! * [`PartialForge`] turns a candidate full bitstream into the
 //!   frame-delta against the image currently on the device, refusing
 //!   (→ caller falls back to a full load) any pair the delta model
@@ -29,14 +30,17 @@
 
 use core::fmt;
 
-use crate::crc::ConfigCrc;
 use crate::delta::DeltaCrc;
-use crate::frame::{FrameData, FRAME_BYTES, FRAME_WORDS};
+use crate::frame::{FrameData, FRAME_BYTES};
 use crate::image::Bitstream;
 use crate::packet::{
-    CommandCode, Packet, PacketEncodeError, RegisterAddress, BUS_WIDTH_DETECT, BUS_WIDTH_SYNC,
-    DUMMY_WORD, NOP, SYNC_WORD,
+    be_word, write_stream, PacketEncodeError, RegisterAddress, Step, Walk, WalkError,
+    BUS_WIDTH_DETECT, BUS_WIDTH_SYNC, DUMMY_WORD,
 };
+
+/// The short preamble of a partial stream before the sync word: two
+/// dummy words and the bus-width auto-detect words.
+const PREAMBLE: [u32; 4] = [DUMMY_WORD, DUMMY_WORD, BUS_WIDTH_SYNC, BUS_WIDTH_DETECT];
 
 /// One contiguous run of frames carried by a partial stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,6 +125,16 @@ impl fmt::Display for ParsePartialError {
 
 impl std::error::Error for ParsePartialError {}
 
+impl From<WalkError> for ParsePartialError {
+    fn from(e: WalkError) -> Self {
+        match e {
+            WalkError::NoSync => ParsePartialError::NoSync,
+            WalkError::Truncated => ParsePartialError::Truncated,
+            WalkError::UnknownRegister { raw } => ParsePartialError::UnknownRegister { raw },
+        }
+    }
+}
+
 /// A partial-reconfiguration stream: raw bytes in the device's wire
 /// format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,207 +179,71 @@ impl PartialBitstream {
     /// Returns [`PacketEncodeError`] if a run exceeds the Type 2
     /// word-count field.
     pub fn assemble(idcode: u32, runs: &[PartialRun]) -> Result<Self, PacketEncodeError> {
-        let mut words: Vec<u32> = Vec::new();
-        // Short header: two dummy pad words, bus width detection, sync.
-        words.extend([DUMMY_WORD; 2]);
-        words.push(BUS_WIDTH_SYNC);
-        words.push(BUS_WIDTH_DETECT);
-        words.push(SYNC_WORD);
-        words.push(NOP);
-
-        let mut crc = ConfigCrc::new();
-        let write1 = |words: &mut Vec<u32>,
-                      crc: &mut ConfigCrc,
-                      addr: RegisterAddress,
-                      vals: &[u32]|
-         -> Result<(), PacketEncodeError> {
-            words.push(Packet::type1_header(addr, vals.len())?);
-            for &v in vals {
-                words.push(v);
-                if addr != RegisterAddress::Crc {
-                    crc.update(addr as u16, v);
-                }
-            }
-            Ok(())
-        };
-
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Rcrc as u32])?;
-        crc.reset();
-        words.push(NOP);
-        write1(&mut words, &mut crc, RegisterAddress::Idcode, &[idcode])?;
-        for run in runs {
-            write1(&mut words, &mut crc, RegisterAddress::Far, &[run.start_frame as u32])?;
-            write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Wcfg as u32])?;
-            let payload = run.frames.to_words();
-            words.push(Packet::type1_header(RegisterAddress::Fdri, 0)?);
-            words.push(Packet::type2_header(payload.len())?);
-            for &w in &payload {
-                crc.update(RegisterAddress::Fdri as u16, w);
-                words.push(w);
-            }
-        }
-        let expected = crc.value();
-        write1(&mut words, &mut crc, RegisterAddress::Crc, &[expected])?;
-        words.push(NOP);
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Start as u32])?;
-        write1(&mut words, &mut crc, RegisterAddress::Cmd, &[CommandCode::Desync as u32])?;
-        words.push(NOP);
-
-        let mut bytes = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            bytes.extend_from_slice(&w.to_be_bytes());
-        }
-        Ok(Self(bytes))
+        let runs = runs.iter().map(|run| (run.start_frame as u32, &run.frames));
+        write_stream(&PREAMBLE, idcode, runs, 1).map(Self)
     }
 
-    /// Parses the stream the way the device configuration logic does:
-    /// zero/NOP/dummy words skipped, `RCRC` resets the CRC, every FAR
-    /// write closes the current frame run and opens a new one, and a
-    /// stored CRC must match the computed value.
+    /// Parses the stream the way the device configuration logic does
+    /// (the rules of [`Bitstream::parse`]), splitting the FDRI payload
+    /// into runs: every Type 1 FAR write closes the current frame run
+    /// and opens a new one at the address it writes.
     ///
     /// # Errors
     ///
     /// See [`ParsePartialError`]. Total over arbitrary bytes: never
     /// panics, never allocates from attacker-controlled length claims.
     pub fn parse(&self) -> Result<PartialConfig, ParsePartialError> {
-        let bytes = &self.0;
-        let sync = {
-            let pat = SYNC_WORD.to_be_bytes();
-            let mut at = 0;
-            loop {
-                if at + 4 > bytes.len() {
-                    break None;
-                }
-                if bytes[at..at + 4] == pat {
-                    break Some(at);
-                }
-                at += 4;
-            }
-        };
-        let mut at = sync.ok_or(ParsePartialError::NoSync)? + 4;
-        let read = |at: usize| -> Result<u32, ParsePartialError> {
-            bytes
-                .get(at..at + 4)
-                .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-                .ok_or(ParsePartialError::Truncated)
-        };
-
-        let mut crc = ConfigCrc::new();
-        let mut last_addr: Option<RegisterAddress> = None;
-        let mut idcode = None;
+        let mut walk = Walk::new(&self.0)?;
         let mut crc_checked = false;
         let mut far: Option<u32> = None;
         let mut runs: Vec<PartialRun> = Vec::new();
-        let mut pending: Vec<u32> = Vec::new();
-
-        // Closes the currently-accumulating frame run.
-        let flush = |far: Option<u32>,
-                     pending: &mut Vec<u32>,
-                     runs: &mut Vec<PartialRun>|
-         -> Result<(), ParsePartialError> {
-            if pending.is_empty() {
-                return Ok(());
-            }
-            if !pending.len().is_multiple_of(FRAME_WORDS) {
-                return Err(ParsePartialError::RaggedRun { words: pending.len() });
-            }
-            let start = far.ok_or(ParsePartialError::FdriBeforeFar)?;
-            runs.push(PartialRun {
-                start_frame: start as usize,
-                frames: FrameData::from_words(pending),
-            });
-            pending.clear();
-            Ok(())
-        };
-
-        'stream: while at + 4 <= bytes.len() {
-            let word = read(at)?;
-            at += 4;
-            if word == 0 || word == NOP || word == DUMMY_WORD {
-                continue;
-            }
-            let h = Packet::decode_header(word);
-            match (h.packet_type, h.opcode) {
-                (1, 2) => {
-                    let addr = RegisterAddress::from_raw(h.addr)
-                        .ok_or(ParsePartialError::UnknownRegister { raw: h.addr })?;
-                    let mut values = Vec::with_capacity(h.count_type1.min(64));
-                    for _ in 0..h.count_type1 {
-                        values.push(read(at)?);
-                        at += 4;
-                    }
-                    match addr {
-                        RegisterAddress::Crc => {
-                            let stored = *values.first().ok_or(ParsePartialError::Truncated)?;
-                            let computed = crc.value();
-                            if stored != computed {
-                                return Err(ParsePartialError::CrcMismatch { stored, computed });
-                            }
-                            crc_checked = true;
-                        }
-                        RegisterAddress::Cmd => {
-                            for &v in &values {
-                                if v == CommandCode::Rcrc as u32 {
-                                    crc.reset();
-                                } else {
-                                    crc.update(addr as u16, v);
-                                }
-                                if v == CommandCode::Desync as u32 {
-                                    break 'stream;
-                                }
-                            }
-                        }
-                        RegisterAddress::Idcode => {
-                            idcode = values.first().copied();
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                            }
-                        }
-                        RegisterAddress::Far => {
-                            flush(far, &mut pending, &mut runs)?;
-                            far = values.last().copied();
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                            }
-                        }
-                        RegisterAddress::Fdri => {
-                            if far.is_none() {
-                                return Err(ParsePartialError::FdriBeforeFar);
-                            }
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                                pending.push(v);
-                            }
-                        }
-                        _ => {
-                            for &v in &values {
-                                crc.update(addr as u16, v);
-                            }
-                        }
-                    }
-                    last_addr = Some(addr);
+        let mut pending: Vec<u8> = Vec::new();
+        for step in walk.by_ref() {
+            match step? {
+                Step::Packet { reg: RegisterAddress::Far, long: false, .. } => {
+                    close_run(far, &mut pending, &mut runs)?;
+                    far = None;
                 }
-                (2, 2) => {
-                    let addr = last_addr.ok_or(ParsePartialError::Truncated)?;
-                    if addr == RegisterAddress::Fdri && far.is_none() {
-                        return Err(ParsePartialError::FdriBeforeFar);
-                    }
-                    for _ in 0..h.count_type2 {
-                        let v = read(at)?;
-                        at += 4;
-                        crc.update(addr as u16, v);
-                        if addr == RegisterAddress::Fdri {
-                            pending.push(v);
-                        }
-                    }
+                Step::Writes { reg: RegisterAddress::Far, words, long: false, .. } => {
+                    far = Some(be_word(&words[words.len() - 4..]));
                 }
-                (1, 0) => {} // packet-level NOP
-                _ => {}      // reads and reserved types are ignored
+                Step::Packet { reg: RegisterAddress::Fdri, .. } if far.is_none() => {
+                    return Err(ParsePartialError::FdriBeforeFar);
+                }
+                Step::Writes { reg: RegisterAddress::Fdri, words, .. } => {
+                    pending.extend_from_slice(words);
+                }
+                Step::Crc { stored, computed, .. } => {
+                    if stored != computed {
+                        return Err(ParsePartialError::CrcMismatch { stored, computed });
+                    }
+                    crc_checked = true;
+                }
+                _ => {}
             }
         }
-        flush(far, &mut pending, &mut runs)?;
-        Ok(PartialConfig { idcode, runs, crc_checked })
+        close_run(far, &mut pending, &mut runs)?;
+        Ok(PartialConfig { idcode: walk.idcode(), runs, crc_checked })
     }
+}
+
+/// Closes the frame run accumulating in `pending` (if any) as a run at
+/// frame address `far`.
+fn close_run(
+    far: Option<u32>,
+    pending: &mut Vec<u8>,
+    runs: &mut Vec<PartialRun>,
+) -> Result<(), ParsePartialError> {
+    if pending.is_empty() {
+        return Ok(());
+    }
+    if !pending.len().is_multiple_of(FRAME_BYTES) {
+        return Err(ParsePartialError::RaggedRun { words: pending.len() / 4 });
+    }
+    let start = far.ok_or(ParsePartialError::FdriBeforeFar)?;
+    let frames = FrameData::from_bytes(core::mem::take(pending));
+    runs.push(PartialRun { start_frame: start as usize, frames });
+    Ok(())
 }
 
 impl AsRef<[u8]> for PartialBitstream {
@@ -408,7 +286,7 @@ impl PartialForge {
     #[must_use]
     pub fn new(reference: &Bitstream) -> Option<Self> {
         let delta = DeltaCrc::analyze(reference)?;
-        let idcode = reference.parse().ok()?.idcode?;
+        let idcode = delta.idcode()?;
         Some(Self { delta, idcode })
     }
 
@@ -444,8 +322,7 @@ impl PartialForge {
 
 /// Groups sorted frame indices into `(start, len)` runs of
 /// consecutive frames.
-#[must_use]
-pub fn contiguous_runs(frames: &[usize]) -> Vec<(usize, usize)> {
+fn contiguous_runs(frames: &[usize]) -> Vec<(usize, usize)> {
     let mut out: Vec<(usize, usize)> = Vec::new();
     for &f in frames {
         match out.last_mut() {
@@ -459,7 +336,9 @@ pub fn contiguous_runs(frames: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FRAME_WORDS;
     use crate::image::BitstreamBuilder;
+    use crate::packet::{CommandCode, Packet, NOP, SYNC_WORD};
 
     fn sample(frames: usize, seed: u64) -> Bitstream {
         let mut data = FrameData::new(frames);

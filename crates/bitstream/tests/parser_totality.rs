@@ -1,12 +1,20 @@
-//! Parser totality: `Bitstream::parse` (and the other attacker-facing
-//! decoders — `fdri_data_range`, `packets`, `recompute_crc`,
-//! `disable_crc`) must be total over arbitrary bytes. Every input
-//! either parses or yields a typed [`ParseBitstreamError`]; no input
-//! may panic. The fuzz corpus covers fully random streams, truncated
-//! well-formed streams, and single-bit-mutated well-formed streams —
-//! the three shapes a glitchy configuration port actually produces.
+//! Parser totality: every reader of the configuration stream —
+//! `Bitstream::parse`, `PartialBitstream::parse`, `DeltaCrc::analyze`,
+//! `packets` and `recompute_crc`, all loops over the one packet walker,
+//! plus the paper's word searches `fdri_data_range` and `disable_crc`
+//! — must be total over arbitrary bytes. Every input either parses or
+//! yields a typed [`ParseBitstreamError`]; no input may panic. On the
+//! same bytes the readers must also agree: where `analyze` accepts a
+//! stream its delta verdict on the stream itself is the parse's, and
+//! after `recompute_crc` the parse never refuses for the CRC. The fuzz
+//! corpus covers fully random streams, truncated well-formed streams,
+//! and single-bit-mutated well-formed streams — the three shapes a
+//! glitchy configuration port actually produces.
 
-use bitstream::{Bitstream, BitstreamBuilder, FrameData, ParseBitstreamError, SYNC_WORD};
+use bitstream::{
+    Bitstream, BitstreamBuilder, DeltaCrc, FrameData, ParseBitstreamError, PartialBitstream,
+    SYNC_WORD,
+};
 use proptest::prelude::*;
 
 /// A well-formed bitstream with pseudo-random frame contents.
@@ -27,8 +35,13 @@ fn exercise(bs: &Bitstream) -> bool {
     let ok = parsed.is_ok();
     let _ = bs.fdri_data_range();
     let _ = bs.packets();
+    let _ = PartialBitstream::from_bytes(bs.as_bytes().to_vec()).parse();
+    if let Some(delta) = DeltaCrc::analyze(bs) {
+        assert_eq!(delta.check(bs.as_bytes(), &[]), parsed.map(|_| ()));
+    }
     let mut m = bs.clone();
     let _ = m.recompute_crc();
+    assert!(!matches!(m.parse(), Err(ParseBitstreamError::CrcMismatch { .. })));
     let mut m = bs.clone();
     let _ = m.disable_crc();
     ok

@@ -8,7 +8,9 @@
 //! truncated well-formed streams, and single-bit-mutated well-formed
 //! streams — the shapes a glitchy configuration port produces.
 
-use bitstream::{FrameData, ParsePartialError, PartialBitstream, PartialRun, SYNC_WORD};
+use bitstream::{
+    BitstreamBuilder, FrameData, ParsePartialError, PartialBitstream, PartialRun, SYNC_WORD,
+};
 use proptest::prelude::*;
 
 const IDCODE: u32 = 0x0362_D093;
@@ -81,6 +83,26 @@ proptest! {
         prop_assert_eq!(&config.runs, &runs, "runs survive the wire byte-exactly");
         let total: usize = runs.iter().map(|r| r.frames.frame_count()).sum();
         prop_assert_eq!(config.frames_written(), total);
+    }
+
+    /// The builder and `assemble` share one stream writer: a one-run
+    /// partial stream at frame 0 and the full stream over the same
+    /// frames configure the same frames, device ID and CRC check.
+    #[test]
+    fn one_run_at_frame_zero_reads_like_the_full_stream(
+        count in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let run = runs_from(&[(0, count)], seed).remove(0);
+        let full = BitstreamBuilder::new(run.frames.clone()).idcode(IDCODE).build();
+        let full = full.parse().expect("builder streams parse");
+        let partial = PartialBitstream::assemble(IDCODE, &[run]).expect("fits");
+        let partial = partial.parse().expect("assembled streams parse");
+        prop_assert_eq!(partial.runs.len(), 1);
+        prop_assert_eq!(partial.runs[0].start_frame, 0);
+        prop_assert_eq!(&partial.runs[0].frames, &full.frames);
+        prop_assert_eq!(partial.idcode, full.idcode);
+        prop_assert_eq!(partial.crc_checked, full.crc_checked);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //! * every input permutation of every candidate is ξ-permuted,
 //!   partitioned into stored sub-vectors per sub-vector order, and
 //!   deduplicated into a single index keyed by the packed stored
-//!   sub-vectors ([`index`]);
+//!   sub-vectors (the `index` module);
 //! * byte positions are then scanned in parallel over frame-aligned
 //!   chunks, each position costing one 8-byte strided read and at most
 //!   one hash lookup, gated by a 2¹⁶-entry prefilter bitmap over the
 //!   first sub-vector that rejects ~99% of positions after a two-byte
-//!   read ([`scanner`]);
+//!   read (the `scanner` module);
 //! * per-chunk hit vectors are merged in chunk order, so the hit list
 //!   is deterministic regardless of thread count, and per candidate it
 //!   is **byte-identical** to [`find_lut_reference`], the literal
 //!   transcription of the paper's pseudo-code kept as differential-test
-//!   ground truth ([`reference`]).
+//!   ground truth (the `reference` module).
 //!
 //! This realises the paper's "all Boolean functions within the same
 //! P equivalence class" search for free, and restores the Section VI-B

@@ -9,22 +9,22 @@
 //! daemon in layers:
 //!
 //! * [`session`] — the redesigned public facade: a validating
-//!   [`SessionSpec`](session::SessionSpec) builder and one engine
+//!   [`SessionSpec`] builder and one engine
 //!   ([`SessionSpec::run_against`](session::SessionSpec::run_against))
 //!   every execution path shares;
 //! * [`layout`] — the typed on-disk session directory (journal,
 //!   trace, spec, result) with atomic creation;
 //! * [`store`] — the in-memory session table:
-//!   [`SessionHandle`](store::SessionHandle)s to poll/await/cancel
+//!   [`SessionHandle`]s to poll/await/cancel
 //!   and tap live telemetry;
 //! * [`scheduler`] — the work-stealing worker pool
-//!   ([`Fleet`](scheduler::Fleet)): per-worker queues, steal-on-idle,
+//!   ([`Fleet`]): per-worker queues, steal-on-idle,
 //!   kill-and-steal recovery over the crash-safe journals;
 //! * [`health`] — board-health scoring from injected-fault telemetry,
 //!   durable quarantine of dead boards, session migration to healthy
 //!   peers and the boot re-probe;
 //! * [`chaos`] — seeded wire-and-disk fault injection
-//!   ([`ChaosStream`](chaos::ChaosStream) transport wrapper, torn-write
+//!   ([`ChaosStream`] transport wrapper, torn-write
 //!   simulation) that the hardened client/server are tested under;
 //! * [`wire`] — the framed line protocol (`submit`/`status`/`tail`/
 //!   `cancel`/…) shared by server and client;

@@ -3,7 +3,7 @@
 //!
 //! One thread accepts connections (TCP or — on Unix — a Unix-domain
 //! socket); each connection gets a thread speaking the
-//! [`wire`](super::wire) protocol: newline-framed requests in, one
+//! [`wire`] protocol: newline-framed requests in, one
 //! JSON line out per request, except `tail`, which streams the
 //! session's NDJSON telemetry until the session is terminal. The
 //! daemon is deliberately boring: all scheduling intelligence lives

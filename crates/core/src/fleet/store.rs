@@ -3,7 +3,7 @@
 //!
 //! Every submitted session gets a [`SessionSlot`] (shared in-memory
 //! state guarded by one mutex + condvar) and a
-//! [`SessionLayout`](super::layout::SessionLayout) directory on disk
+//! [`SessionLayout`] directory on disk
 //! holding its spec, crash-safe journal, NDJSON trace and — once the
 //! session ends — a one-line `result.json`. The directory is the
 //! durable truth: on boot the store rescans the fleet root, rebuilds

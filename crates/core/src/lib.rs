@@ -25,7 +25,7 @@
 //!   after every completed work item so a killed run resumes
 //!   mid-phase with a bit-identical query trace;
 //! * [`fleet`] — the attack-as-a-service layer: the validating
-//!   [`SessionSpec`](fleet::SessionSpec) facade (the one way to run
+//!   [`SessionSpec`] facade (the one way to run
 //!   attacks since 0.7), a work-stealing worker pool sharding
 //!   sessions across board-backed workers with kill-and-steal
 //!   recovery over the crash-safe journals, and the `bitmod serve`

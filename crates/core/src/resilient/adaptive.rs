@@ -1,7 +1,7 @@
 //! Online fault-rate estimation and the adaptive resilience policy.
 //!
-//! The fixed `votes`/`retry` settings of a [`ResilienceConfig`]
-//! (crate::resilient::ResilienceConfig) must be hand-picked per fault
+//! The fixed `votes`/`retry` settings of a
+//! [`ResilienceConfig`](super::ResilienceConfig) must be hand-picked per fault
 //! rate (the noise-sweep tables in EXPERIMENTS.md exist to do exactly
 //! that), and a fixed pick is wrong twice on a *drifting* or *bursty*
 //! board: wasteful while the board is healthy, insufficient once it

@@ -143,7 +143,7 @@ pub mod strategy {
             Perturb { inner: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof!)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,

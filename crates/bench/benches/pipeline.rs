@@ -11,6 +11,9 @@ fn bench_board_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline/board-build");
     g.sample_size(10);
     g.bench_function("unprotected", |b| b.iter(|| test_board(false)));
+    // The protected circuit is the slowest map (`paper-tables table6`
+    // and `countermeasure` build it).
+    g.bench_function("protected", |b| b.iter(|| test_board(true)));
     g.finish();
 }
 

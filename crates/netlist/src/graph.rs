@@ -463,6 +463,16 @@ impl Network {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), NetworkError> {
+        self.validated_order().map(|_| ())
+    }
+
+    /// Validates the network as [`Network::validate`] does and returns
+    /// the [`Network::topo_order`] that the acyclicity check computes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    pub fn validated_order(&self) -> Result<Vec<NodeId>, NetworkError> {
         for (id, node) in self.iter() {
             if let Some(expected) = node.kind.arity() {
                 // Dffs may legitimately be declared before connection,
@@ -486,7 +496,7 @@ impl Network {
                 }
             }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order()
     }
 }
 

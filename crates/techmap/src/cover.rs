@@ -1,14 +1,15 @@
 //! Cover selection: turning cut sets into a LUT network.
 
+use core::cmp::Reverse;
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use boolfn::TruthTable;
 use netlist::{Network, NetworkError, NodeId, NodeKind};
 
 use crate::cut::{Cut, CutParams, CutSets};
 use crate::design::{BramCell, Cover, DffCell, MappedDesign};
-use crate::pack;
+use crate::pack::{self, splitmix64};
 
 /// The optimization objective of cover selection (Section II-B of the
 /// paper surveys mappers for "minimal area \[32\] or depth \[33\], or
@@ -85,13 +86,6 @@ impl From<NetworkError> for MapError {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Technology-maps `network` into a k-LUT design.
 ///
 /// The algorithm is the classical area-greedy cover with node reuse
@@ -110,36 +104,35 @@ pub fn map(network: &Network, config: &MapConfig) -> Result<MappedDesign, MapErr
     if !(3..=6).contains(&config.k) {
         return Err(MapError::BadK { k: config.k });
     }
-    network.validate()?;
+    let order = network.validated_order()?;
 
     let cut_sets =
-        CutSets::enumerate(network, CutParams { k: config.k, max_cuts: config.max_cuts });
+        CutSets::enumerate(network, &order, CutParams { k: config.k, max_cuts: config.max_cuts });
 
     // Depth labels (DAG-Map [33] over the priority cuts): label(v) is
     // the minimum LUT level at which v can be realised.
     let labels = match config.objective {
         MapObjective::Area => None,
-        MapObjective::Depth => Some(depth_labels(network, &cut_sets, config.k)),
+        MapObjective::Depth => Some(depth_labels(network, &order, &cut_sets, config.k)),
     };
 
     // Sinks: nets that must exist physically.
     let mut required: Vec<NodeId> = Vec::new();
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let require = |id: NodeId, required: &mut Vec<NodeId>, seen: &mut HashSet<NodeId>| {
-        if network.node(id).kind.is_gate() && seen.insert(id) {
+    let mut seen = vec![false; network.len()];
+    let require = |id: NodeId, required: &mut Vec<NodeId>, seen: &mut [bool]| {
+        if network.node(id).kind.is_gate() && !std::mem::replace(&mut seen[id.index()], true) {
             required.push(id);
         }
     };
     for (_, id) in network.outputs() {
         require(*id, &mut required, &mut seen);
     }
-    for (id, node) in network.iter() {
+    for (_, node) in network.iter() {
         match node.kind {
             NodeKind::Dff { .. } => {
                 require(node.fanin[0], &mut required, &mut seen);
             }
             NodeKind::RomOut { .. } => {
-                let _ = id;
                 for &a in &node.fanin {
                     require(a, &mut required, &mut seen);
                 }
@@ -149,18 +142,19 @@ pub fn map(network: &Network, config: &MapConfig) -> Result<MappedDesign, MapErr
     }
 
     // Greedy covering.
+    let mut scratch = ConeScratch::new(network.len());
     let mut covers: Vec<Cover> = Vec::new();
     let mut head = 0;
     while head < required.len() {
         let root = required[head];
         head += 1;
-        let cut = choose_cut(network, &cut_sets, root, config.k, labels.as_deref());
+        let cut = choose_cut(network, &cut_sets, root, config.k, labels.as_deref(), &mut scratch);
         let mut leaves: Vec<NodeId> = cut.leaves().to_vec();
         // Deterministic pin scrambling (placement-like pin rotation).
         leaves.sort_by_key(|l| {
             splitmix64(config.scramble_seed ^ (u64::from(root.0) << 32) ^ u64::from(l.0))
         });
-        let truth = cone_truth(network, root, &leaves);
+        let truth = cone_truth(network, root, &leaves, &mut scratch);
         for &l in &leaves {
             require(l, &mut required, &mut seen);
         }
@@ -206,10 +200,9 @@ pub fn map(network: &Network, config: &MapConfig) -> Result<MappedDesign, MapErr
 /// Computes DAG-Map depth labels over the enumerated cut sets:
 /// sources are 0; a gate's label is `1 + min over cuts of the max
 /// leaf label`; a ROM output costs one level above its address.
-fn depth_labels(network: &Network, cut_sets: &CutSets, k: usize) -> Vec<usize> {
-    let order = network.topo_order().expect("validated network");
+fn depth_labels(network: &Network, order: &[NodeId], cut_sets: &CutSets, k: usize) -> Vec<usize> {
     let mut label = vec![0usize; network.len()];
-    for id in order {
+    for &id in order {
         let node = network.node(id);
         if let NodeKind::RomOut { .. } = node.kind {
             label[id.index()] = node.fanin.iter().map(|f| label[f.index()]).max().unwrap_or(0) + 1;
@@ -246,17 +239,10 @@ fn choose_cut(
     root: NodeId,
     k: usize,
     labels: Option<&[usize]>,
+    scratch: &mut ConeScratch,
 ) -> Cut {
-    let node = network.node(root);
-    if node.keep {
-        // Trivial cut: the node's own (non-constant) fanins.
-        let leaves: Vec<NodeId> = node
-            .fanin
-            .iter()
-            .copied()
-            .filter(|f| !matches!(network.node(*f).kind, NodeKind::Const(_)))
-            .collect();
-        return Cut::from_leaves(leaves);
+    if network.node(root).keep {
+        return Cut::trivial(network, root);
     }
     // Selection key: under the Area objective — exact volume first,
     // then fewer leaves, then more register/input leaves (prefer
@@ -264,7 +250,7 @@ fn choose_cut(
     // packers do), then the lexicographically smallest leaf set for
     // determinism. Under the Depth objective a "smaller arrival
     // label" criterion is prepended.
-    let mut best: Option<(usize, usize, usize, usize, Cut)> = None;
+    let mut best: Option<(usize, usize, usize, Cut)> = None;
     for ranked in cut_sets.cuts(root) {
         let cut = &ranked.cut;
         if cut.leaves().contains(&root) {
@@ -277,52 +263,71 @@ fn choose_cut(
             Some(l) => cut.leaves().iter().map(|x| l[x.index()]).max().unwrap_or(0) + 1,
             None => 0,
         };
-        let vol = cone_volume(network, root, cut);
+        let vol = cone_volume(network, root, cut, scratch);
         let srcs = cut.leaves().iter().filter(|l| network.node(**l).kind.is_source()).count();
         let better = match &best {
             None => true,
-            Some((bd, bv, bl, bs, bc)) => {
-                (
-                    std::cmp::Reverse(depth),
-                    vol,
-                    std::cmp::Reverse(cut.len()),
-                    srcs,
-                    std::cmp::Reverse(cut.leaves()),
-                ) > (
-                    std::cmp::Reverse(*bd),
-                    *bv,
-                    std::cmp::Reverse(*bl),
-                    *bs,
-                    std::cmp::Reverse(bc.leaves()),
-                )
+            Some((bd, bv, bs, bc)) => {
+                (Reverse(depth), vol, Reverse(cut.len()), srcs, Reverse(cut.leaves()))
+                    > (Reverse(*bd), *bv, Reverse(bc.len()), *bs, Reverse(bc.leaves()))
             }
         };
         if better {
-            best = Some((depth, vol, cut.len(), srcs, cut.clone()));
+            best = Some((depth, vol, srcs, *cut));
         }
     }
-    best.map(|(_, _, _, _, c)| c).unwrap_or_else(|| {
-        // Fallback (cannot normally happen): immediate fanin cut.
-        Cut::from_leaves(
-            network
-                .node(root)
-                .fanin
-                .iter()
-                .copied()
-                .filter(|f| !matches!(network.node(*f).kind, NodeKind::Const(_)))
-                .collect(),
-        )
-    })
+    // Fallback (cannot normally happen): immediate fanin cut.
+    best.map_or_else(|| Cut::trivial(network, root), |(_, _, _, c)| c)
+}
+
+/// Reusable state for the cone walks of one [`map`] call: a per-node
+/// epoch stamp marks a node visited (or its truth table computed) in
+/// the current walk, so no walk allocates or clears anything.
+struct ConeScratch {
+    stamp: Vec<u32>,
+    truth: Vec<u64>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+}
+
+impl ConeScratch {
+    fn new(nodes: usize) -> Self {
+        Self { stamp: vec![0; nodes], truth: vec![0; nodes], epoch: 0, stack: Vec::new() }
+    }
+
+    /// Starts a new walk: every node reads as unvisited.
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `id` visited in this walk; `false` if it already was.
+    fn visit(&mut self, id: NodeId) -> bool {
+        std::mem::replace(&mut self.stamp[id.index()], self.epoch) != self.epoch
+    }
+
+    /// The truth table computed for `id` in this walk, if any.
+    fn truth(&self, id: NodeId) -> Option<u64> {
+        (self.stamp[id.index()] == self.epoch).then(|| self.truth[id.index()])
+    }
+
+    fn set_truth(&mut self, id: NodeId, bits: u64) {
+        self.stamp[id.index()] = self.epoch;
+        self.truth[id.index()] = bits;
+    }
 }
 
 /// Number of gate nodes inside the cone of `root` bounded by `cut`.
-fn cone_volume(network: &Network, root: NodeId, cut: &Cut) -> usize {
-    let leaves: HashSet<NodeId> = cut.leaves().iter().copied().collect();
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    let mut stack = vec![root];
+fn cone_volume(network: &Network, root: NodeId, cut: &Cut, scratch: &mut ConeScratch) -> usize {
+    scratch.begin();
+    scratch.stack.clear();
+    scratch.stack.push(root);
     let mut count = 0;
-    while let Some(id) = stack.pop() {
-        if leaves.contains(&id) || !visited.insert(id) {
+    while let Some(id) = scratch.stack.pop() {
+        if cut.leaves().contains(&id) || !scratch.visit(id) {
             continue;
         }
         let node = network.node(id);
@@ -330,7 +335,7 @@ fn cone_volume(network: &Network, root: NodeId, cut: &Cut) -> usize {
             NodeKind::Const(_) => continue,
             ref k if k.is_gate() => {
                 count += 1;
-                stack.extend(node.fanin.iter().copied());
+                scratch.stack.extend_from_slice(&node.fanin);
             }
             // A source inside the cone that is not a leaf means the
             // cut is not actually a cut; the enumerator never
@@ -348,23 +353,28 @@ fn cone_volume(network: &Network, root: NodeId, cut: &Cut) -> usize {
 ///
 /// Panics if the cone reaches a non-constant source that is not a
 /// leaf (invalid cut), or if there are more than 6 leaves.
-pub fn cone_truth(network: &Network, root: NodeId, leaves: &[NodeId]) -> TruthTable {
+fn cone_truth(
+    network: &Network,
+    root: NodeId,
+    leaves: &[NodeId],
+    scratch: &mut ConeScratch,
+) -> TruthTable {
     assert!(leaves.len() <= 6, "at most 6 LUT inputs");
     let k = leaves.len() as u8;
-    let mask = TruthTable::mask(k);
-    let mut memo: HashMap<NodeId, u64> = HashMap::new();
+    scratch.begin();
     for (p, &l) in leaves.iter().enumerate() {
-        memo.insert(l, TruthTable::var(6, p as u8 + 1).bits());
+        scratch.set_truth(l, TruthTable::var(6, p as u8 + 1).bits());
     }
-    let bits = eval_cone(network, root, &mut memo) & mask;
+    let bits = eval_cone(network, root, scratch) & TruthTable::mask(k);
     TruthTable::new(k, bits)
 }
 
-fn eval_cone(network: &Network, id: NodeId, memo: &mut HashMap<NodeId, u64>) -> u64 {
-    if let Some(&v) = memo.get(&id) {
+fn eval_cone(network: &Network, id: NodeId, scratch: &mut ConeScratch) -> u64 {
+    if let Some(v) = scratch.truth(id) {
         return v;
     }
     let node = network.node(id);
+    let mut fanin = |i: usize| eval_cone(network, node.fanin[i], scratch);
     let v = match node.kind {
         NodeKind::Const(b) => {
             if b {
@@ -373,25 +383,17 @@ fn eval_cone(network: &Network, id: NodeId, memo: &mut HashMap<NodeId, u64>) -> 
                 0
             }
         }
-        NodeKind::Not => !eval_cone(network, node.fanin[0], memo),
-        NodeKind::And => {
-            eval_cone(network, node.fanin[0], memo) & eval_cone(network, node.fanin[1], memo)
-        }
-        NodeKind::Or => {
-            eval_cone(network, node.fanin[0], memo) | eval_cone(network, node.fanin[1], memo)
-        }
-        NodeKind::Xor => {
-            eval_cone(network, node.fanin[0], memo) ^ eval_cone(network, node.fanin[1], memo)
-        }
+        NodeKind::Not => !fanin(0),
+        NodeKind::And => fanin(0) & fanin(1),
+        NodeKind::Or => fanin(0) | fanin(1),
+        NodeKind::Xor => fanin(0) ^ fanin(1),
         NodeKind::Mux => {
-            let s = eval_cone(network, node.fanin[0], memo);
-            let a = eval_cone(network, node.fanin[1], memo);
-            let b = eval_cone(network, node.fanin[2], memo);
+            let (s, a, b) = (fanin(0), fanin(1), fanin(2));
             (s & a) | (!s & b)
         }
         _ => panic!("cone of a cut reached non-leaf source {id}"),
     };
-    memo.insert(id, v);
+    scratch.set_truth(id, v);
     v
 }
 

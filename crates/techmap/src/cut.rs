@@ -6,136 +6,122 @@
 //! bottom-up: the cut set of a gate is the cross-merge of its fanins'
 //! cut sets (each fanin contributing either one of its own cuts or
 //! itself as a leaf), pruned to a bounded number of candidates.
+//!
+//! A [`Cut`] is a `Copy` value holding its at most six leaves inline,
+//! and every node's ranked cuts sit back to back in one arena, so the
+//! enumeration allocates nothing per cut: the arena and two reused
+//! cross-merge buffers are the only growing storage.
 
 use netlist::{Network, NodeId, NodeKind};
 
-/// A cut: a sorted, deduplicated set of leaf nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Cut {
-    leaves: Vec<NodeId>,
+/// The most leaves a cut can hold (`MapError::BadK` bounds `k` to
+/// `3..=6`).
+const MAX_LEAVES: usize = 6;
+
+/// A cut: a sorted, deduplicated set of at most six leaf nodes.
+///
+/// Slots past `len` always hold `NodeId(0)`, so the derived equality
+/// is equality of leaf sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cut {
+    leaves: [NodeId; MAX_LEAVES],
+    len: u8,
 }
 
 impl Cut {
     /// The empty cut (a cone of constants).
-    #[must_use]
-    pub fn empty() -> Self {
-        Self { leaves: Vec::new() }
-    }
+    pub(crate) const EMPTY: Self = Self { leaves: [NodeId(0); MAX_LEAVES], len: 0 };
 
     /// The singleton cut `{n}`.
-    #[must_use]
-    pub fn singleton(n: NodeId) -> Self {
-        Self { leaves: vec![n] }
+    pub(crate) fn singleton(n: NodeId) -> Self {
+        let mut cut = Self::EMPTY;
+        cut.leaves[0] = n;
+        cut.len = 1;
+        cut
     }
 
-    /// Builds a cut from arbitrary leaves (sorted and deduplicated).
-    #[must_use]
-    pub fn from_leaves(mut leaves: Vec<NodeId>) -> Self {
-        leaves.sort_unstable();
-        leaves.dedup();
-        Self { leaves }
+    /// The trivial cut of gate `id`: its non-constant fanins.
+    pub(crate) fn trivial(network: &Network, id: NodeId) -> Self {
+        let mut cut = Self::EMPTY;
+        for &f in &network.node(id).fanin {
+            if matches!(network.node(f).kind, NodeKind::Const(_)) {
+                continue;
+            }
+            if let Err(at) = cut.leaves().binary_search(&f) {
+                let len = cut.len();
+                cut.leaves.copy_within(at..len, at + 1);
+                cut.leaves[at] = f;
+                cut.len += 1;
+            }
+        }
+        cut
     }
 
     /// The leaves, sorted ascending.
-    #[must_use]
-    pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
+    pub(crate) fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..self.len()]
     }
 
     /// Number of leaves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.leaves.len()
+    pub(crate) fn len(&self) -> usize {
+        usize::from(self.len)
     }
 
-    /// Whether the cut has no leaves.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
-    }
-
-    /// Merges two cuts; returns `None` if the union exceeds `k`
-    /// leaves.
-    #[must_use]
-    pub fn merge(&self, other: &Self, k: usize) -> Option<Self> {
-        let mut leaves = Vec::with_capacity(self.leaves.len() + other.leaves.len());
+    /// Merges two cuts; returns `None` as soon as the union exceeds
+    /// `k` leaves.
+    pub(crate) fn merge(&self, other: &Self, k: usize) -> Option<Self> {
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut out = Self::EMPTY;
         let (mut i, mut j) = (0, 0);
-        while i < self.leaves.len() || j < other.leaves.len() {
-            let take_left = match (self.leaves.get(i), other.leaves.get(j)) {
-                (Some(a), Some(b)) => {
-                    if a == b {
-                        j += 1;
-                        true
-                    } else {
-                        a < b
-                    }
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    x
                 }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+                (Some(&x), Some(&y)) if x < y => {
+                    i += 1;
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
                 (None, None) => unreachable!("loop condition"),
             };
-            if take_left {
-                leaves.push(self.leaves[i]);
-                i += 1;
-            } else {
-                leaves.push(other.leaves[j]);
-                j += 1;
-            }
-            if leaves.len() > k {
+            if out.len() == k {
                 return None;
             }
+            out.leaves[out.len()] = next;
+            out.len += 1;
         }
-        Some(Self { leaves })
-    }
-
-    /// Whether `other`'s leaves are a subset of this cut's leaves
-    /// (i.e. `other` dominates `self`).
-    #[must_use]
-    pub fn dominated_by(&self, other: &Self) -> bool {
-        if other.leaves.len() > self.leaves.len() {
-            return false;
-        }
-        let mut i = 0;
-        for &l in &other.leaves {
-            loop {
-                match self.leaves.get(i) {
-                    Some(&s) if s < l => i += 1,
-                    Some(&s) if s == l => {
-                        i += 1;
-                        break;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        true
+        Some(out)
     }
 }
 
 /// Enumeration limits.
 #[derive(Debug, Clone, Copy)]
-pub struct CutParams {
+pub(crate) struct CutParams {
     /// Maximum leaves per cut (`k` of the target LUT architecture).
-    pub k: usize,
+    pub(crate) k: usize,
     /// Maximum cuts retained per node (priority cuts).
-    pub max_cuts: usize,
-}
-
-impl Default for CutParams {
-    fn default() -> Self {
-        Self { k: 6, max_cuts: 16 }
-    }
+    pub(crate) max_cuts: usize,
 }
 
 /// A cut together with its estimated covered volume (number of gates
 /// the corresponding LUT would absorb; an upper estimate under
 /// reconvergence, used only as a pruning priority).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedCut {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankedCut {
     /// The cut.
-    pub cut: Cut,
+    pub(crate) cut: Cut,
     /// Estimated covered gate count.
-    pub vol: u32,
+    pub(crate) vol: u32,
 }
 
 /// All k-feasible cuts for every node, indexed by node id.
@@ -146,47 +132,47 @@ pub struct RankedCut {
 /// countermeasure prevents the node from being absorbed into a larger
 /// LUT.
 #[derive(Debug)]
-pub struct CutSets {
-    sets: Vec<Vec<RankedCut>>,
+pub(crate) struct CutSets {
+    /// Every node's ranked cuts, back to back.
+    arena: Vec<RankedCut>,
+    /// Node `id`'s cuts are `arena[span[id].0..span[id].1]`.
+    span: Vec<(u32, u32)>,
 }
 
 impl CutSets {
-    /// Enumerates cut sets for the whole network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network contains a combinational cycle (callers
-    /// validate first).
-    #[must_use]
-    pub fn enumerate(network: &Network, params: CutParams) -> Self {
-        let order = network.topo_order().expect("validated network");
-        let mut sets: Vec<Vec<RankedCut>> = vec![Vec::new(); network.len()];
-        for id in order {
+    /// Enumerates cut sets for the whole network, visiting nodes in
+    /// `order` (a topological order of `network`).
+    pub(crate) fn enumerate(network: &Network, order: &[NodeId], params: CutParams) -> Self {
+        let mut arena: Vec<RankedCut> = Vec::with_capacity(4 * network.len());
+        let mut span = vec![(0, 0); network.len()];
+        let (mut merged, mut next): (Vec<RankedCut>, Vec<RankedCut>) = (Vec::new(), Vec::new());
+        for &id in order {
             let node = network.node(id);
-            let set: Vec<RankedCut> = match &node.kind {
+            let start = arena.len();
+            match &node.kind {
                 NodeKind::Input { .. } | NodeKind::Dff { .. } | NodeKind::RomOut { .. } => {
-                    vec![RankedCut { cut: Cut::singleton(id), vol: 0 }]
+                    arena.push(RankedCut { cut: Cut::singleton(id), vol: 0 });
                 }
-                NodeKind::Const(_) => vec![RankedCut { cut: Cut::empty(), vol: 0 }],
+                NodeKind::Const(_) => arena.push(RankedCut { cut: Cut::EMPTY, vol: 0 }),
                 _ if node.keep => {
                     // Covered by its trivial cut only; fanouts may use
                     // it only as a leaf (the countermeasure).
-                    vec![RankedCut { cut: Cut::singleton(id), vol: 0 }]
+                    arena.push(RankedCut { cut: Cut::singleton(id), vol: 0 });
                 }
                 _gate => {
-                    let fanin_sets: Vec<&[RankedCut]> =
-                        node.fanin.iter().map(|f| sets[f.index()].as_slice()).collect();
-                    let mut merged: Vec<RankedCut> = vec![RankedCut { cut: Cut::empty(), vol: 1 }];
-                    for fs in fanin_sets {
-                        let mut next = Vec::new();
+                    merged.clear();
+                    merged.push(RankedCut { cut: Cut::EMPTY, vol: 1 });
+                    for f in &node.fanin {
+                        let (lo, hi) = span[f.index()];
+                        next.clear();
                         for base in &merged {
-                            for c in fs {
+                            for c in &arena[lo as usize..hi as usize] {
                                 if let Some(m) = base.cut.merge(&c.cut, params.k) {
                                     next.push(RankedCut { cut: m, vol: base.vol + c.vol });
                                 }
                             }
                         }
-                        merged = next;
+                        std::mem::swap(&mut merged, &mut next);
                         if merged.is_empty() {
                             break;
                         }
@@ -197,47 +183,38 @@ impl CutSets {
                     // still choose the node itself as a leaf.
                     prune(&mut merged, params.max_cuts);
                     // The immediate-fanin cut is always available.
-                    let trivial = Cut::from_leaves(
-                        node.fanin
-                            .iter()
-                            .copied()
-                            .filter(|f| !matches!(network.node(*f).kind, NodeKind::Const(_)))
-                            .collect(),
-                    );
+                    let trivial = Cut::trivial(network, id);
                     if !merged.iter().any(|r| r.cut == trivial) {
                         merged.push(RankedCut { cut: trivial, vol: 1 });
                     }
                     merged.push(RankedCut { cut: Cut::singleton(id), vol: 0 });
-                    merged
+                    arena.extend_from_slice(&merged);
                 }
-            };
-            sets[id.index()] = set;
+            }
+            span[id.index()] = (start as u32, arena.len() as u32);
         }
-        Self { sets }
+        Self { arena, span }
     }
 
     /// The ranked cut set of `id` (includes the singleton leaf cut for
     /// gates, with volume 0).
-    #[must_use]
-    pub fn cuts(&self, id: NodeId) -> &[RankedCut] {
-        &self.sets[id.index()]
+    pub(crate) fn cuts(&self, id: NodeId) -> &[RankedCut] {
+        let (lo, hi) = self.span[id.index()];
+        &self.arena[lo as usize..hi as usize]
     }
 }
 
+/// Prunes `cuts` in place to at most `max` entries. Every ordering
+/// below is total once leaf sets are distinct (and entries equal under
+/// the first are identical), so unstable sorts decide nothing.
 fn prune(cuts: &mut Vec<RankedCut>, max: usize) {
-    // Deduplicate by leaf set, keeping the best volume estimate.
-    cuts.sort_by(|a, b| a.cut.leaves().cmp(b.cut.leaves()).then(b.vol.cmp(&a.vol)));
-    cuts.dedup_by(|b, a| {
-        if a.cut == b.cut {
-            a.vol = a.vol.max(b.vol);
-            true
-        } else {
-            false
-        }
-    });
+    // Deduplicate by leaf set, keeping the best volume estimate (the
+    // first of each run).
+    cuts.sort_unstable_by(|a, b| a.cut.leaves().cmp(b.cut.leaves()).then(b.vol.cmp(&a.vol)));
+    cuts.dedup_by(|b, a| a.cut == b.cut);
     // Priority: largest estimated volume first, then fewer leaves,
     // then lexicographically smallest leaf set for determinism.
-    cuts.sort_by(|a, b| {
+    cuts.sort_unstable_by(|a, b| {
         b.vol
             .cmp(&a.vol)
             .then(a.cut.len().cmp(&b.cut.len()))
@@ -247,18 +224,15 @@ fn prune(cuts: &mut Vec<RankedCut>, max: usize) {
         // Reserve the tail slots for the smallest cuts so that
         // shallow, modular cuts survive for further merging.
         let reserve = (max / 4).max(1);
-        let mut head: Vec<RankedCut> = cuts.drain(..max - reserve).collect();
-        cuts.sort_by(|a, b| {
+        cuts[max - reserve..].sort_unstable_by(|a, b| {
             a.cut
                 .len()
                 .cmp(&b.cut.len())
                 .then(b.vol.cmp(&a.vol))
                 .then_with(|| a.cut.leaves().cmp(b.cut.leaves()))
         });
-        head.extend(cuts.drain(..reserve.min(cuts.len())));
-        head.sort_by(|a, b| a.cut.leaves().cmp(b.cut.leaves()));
-        head.dedup_by(|b, a| a.cut == b.cut);
-        *cuts = head;
+        cuts.truncate(max);
+        cuts.sort_unstable_by(|a, b| a.cut.leaves().cmp(b.cut.leaves()));
     }
 }
 
@@ -267,22 +241,24 @@ mod tests {
     use super::*;
     use netlist::Network;
 
-    #[test]
-    fn merge_respects_k() {
-        let a = Cut::from_leaves(vec![NodeId(1), NodeId(2), NodeId(3)]);
-        let b = Cut::from_leaves(vec![NodeId(3), NodeId(4), NodeId(5)]);
-        let m = a.merge(&b, 6).unwrap();
-        assert_eq!(m.len(), 5);
-        assert!(a.merge(&b, 4).is_none());
+    fn cut(leaves: &[NodeId]) -> Cut {
+        leaves.iter().fold(Cut::EMPTY, |c, &l| c.merge(&Cut::singleton(l), MAX_LEAVES).unwrap())
+    }
+
+    fn enumerate(n: &Network, max_cuts: usize) -> CutSets {
+        let order = n.validated_order().unwrap();
+        CutSets::enumerate(n, &order, CutParams { k: 6, max_cuts })
     }
 
     #[test]
-    fn domination() {
-        let big = Cut::from_leaves(vec![NodeId(1), NodeId(2), NodeId(3)]);
-        let small = Cut::from_leaves(vec![NodeId(1), NodeId(3)]);
-        assert!(big.dominated_by(&small));
-        assert!(!small.dominated_by(&big));
-        assert!(big.dominated_by(&big));
+    fn merge_respects_k() {
+        let a = cut(&[NodeId(1), NodeId(2), NodeId(3)]);
+        let b = cut(&[NodeId(5), NodeId(4), NodeId(3)]);
+        let m = a.merge(&b, 6).unwrap();
+        assert_eq!(m.leaves(), [1, 2, 3, 4, 5].map(NodeId));
+        assert_eq!(m, cut(&[5, 4, 3, 2, 1].map(NodeId)), "equality is leaf-set equality");
+        assert!(a.merge(&b, 4).is_none());
+        assert_eq!(a.merge(&b, 5), Some(m));
     }
 
     #[test]
@@ -296,12 +272,12 @@ mod tests {
         let x1 = n.xor(a, b);
         let x2 = n.xor(c, d);
         let root = n.xor(x1, x2);
-        let sets = CutSets::enumerate(&n, CutParams::default());
+        let sets = enumerate(&n, 16);
         let has = |c: &Cut| sets.cuts(root).iter().any(|r| &r.cut == c);
-        let want = Cut::from_leaves(vec![a, b, c, d]);
+        let want = cut(&[a, b, c, d]);
         assert!(has(&want), "missing the full 4-leaf cut");
         // And the two-leaf cut {x1, x2}.
-        let two = Cut::from_leaves(vec![x1, x2]);
+        let two = cut(&[x1, x2]);
         assert!(has(&two));
         // The 4-leaf cut must be ranked with the larger volume.
         let v4 = sets.cuts(root).iter().find(|r| r.cut == want).unwrap().vol;
@@ -318,11 +294,11 @@ mod tests {
         let x = n.xor(a, b);
         n.set_keep(x);
         let y = n.and(x, c);
-        let sets = CutSets::enumerate(&n, CutParams::default());
+        let sets = enumerate(&n, 16);
         // Every cut of y must use x as a leaf, never {a, b, c}.
-        let absorbed = Cut::from_leaves(vec![a, b, c]);
+        let absorbed = cut(&[a, b, c]);
         assert!(!sets.cuts(y).iter().any(|r| r.cut == absorbed));
-        let want = Cut::from_leaves(vec![x, c]);
+        let want = cut(&[x, c]);
         assert!(sets.cuts(y).iter().any(|r| r.cut == want));
     }
 
@@ -332,9 +308,10 @@ mod tests {
         let a = n.input("a");
         let z = n.constant(false);
         let x = n.xor(a, z);
-        let sets = CutSets::enumerate(&n, CutParams::default());
+        let sets = enumerate(&n, 16);
         let want = Cut::singleton(a);
         assert!(sets.cuts(x).iter().any(|r| r.cut == want), "constant folded out of the cut");
+        assert_eq!(Cut::trivial(&n, x), want);
     }
 
     #[test]
@@ -346,11 +323,10 @@ mod tests {
             let x = n.input(format!("i{i}"));
             prev = n.xor(prev, x);
         }
-        let params = CutParams { k: 6, max_cuts: 8 };
-        let sets = CutSets::enumerate(&n, params);
+        let sets = enumerate(&n, 8);
         for (id, node) in n.iter() {
             if node.kind.is_gate() {
-                assert!(sets.cuts(id).len() <= params.max_cuts + 1, "node {id}");
+                assert!(sets.cuts(id).len() <= 8 + 1, "node {id}");
             }
         }
     }

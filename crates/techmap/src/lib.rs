@@ -15,21 +15,20 @@
 //! * **Countermeasure constraints** (Section VII-A) — nodes carrying
 //!   the `keep` attribute are covered by *trivial cuts* (a LUT
 //!   computing exactly that 2-input XOR) and are never absorbed into
-//!   other LUTs. [`pack`] then fractures pairs of small functions
+//!   other LUTs. Packing then fractures pairs of small functions
 //!   into dual-output LUT6s, producing the "2-input XOR in one half"
 //!   population the paper's protected design exhibits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cut;
 pub mod design;
-pub mod pack;
 pub mod timing;
 
 mod cover;
+mod cut;
+mod pack;
 
 pub use cover::{map, MapConfig, MapError, MapObjective};
-pub use cut::Cut;
 pub use design::{BramCell, Cover, DffCell, MappedDesign, PackedLut};
 pub use timing::{DelayModel, TimingReport};

@@ -12,7 +12,9 @@ use netlist::NodeId;
 
 use crate::design::{Cover, PackedLut};
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The deterministic pin-order scrambling hash of cover selection and
+/// packing.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -26,18 +28,16 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// Panics if an old pin is missing from `new_pins` or if `new_pins`
 /// has more than 6 entries.
-#[must_use]
-pub fn retarget(truth: TruthTable, old_pins: &[NodeId], new_pins: &[NodeId]) -> TruthTable {
+fn retarget(truth: TruthTable, old_pins: &[NodeId], new_pins: &[NodeId]) -> TruthTable {
     assert!(new_pins.len() <= 6);
-    let positions: Vec<usize> = old_pins
-        .iter()
-        .map(|p| {
-            new_pins
-                .iter()
-                .position(|q| q == p)
-                .expect("every old pin must appear among the new pins")
-        })
-        .collect();
+    let mut positions = [0usize; 6];
+    for (slot, p) in positions.iter_mut().zip(old_pins) {
+        *slot = new_pins
+            .iter()
+            .position(|q| q == p)
+            .expect("every old pin must appear among the new pins");
+    }
+    let positions = &positions[..old_pins.len()];
     TruthTable::from_fn(new_pins.len() as u8, |i| {
         let mut old_idx = 0u8;
         for (o, &np) in positions.iter().enumerate() {
@@ -49,11 +49,22 @@ pub fn retarget(truth: TruthTable, old_pins: &[NodeId], new_pins: &[NodeId]) -> 
     })
 }
 
+/// A lower bound on the pin count of a leaf union: each leaf sets bit
+/// `id mod 64`, so the union of two signatures has at most as many set
+/// bits as the two leaf lists have distinct pins.
+fn signature(leaves: &[NodeId]) -> u64 {
+    leaves.iter().fold(0, |sig, l| sig | 1 << (l.0 % 64))
+}
+
+/// Number of distinct pins over two covers' leaf lists.
+fn union_len(a: &[NodeId], b: &[NodeId]) -> usize {
+    a.len() + b.iter().filter(|l| !a.contains(l)).count()
+}
+
 /// Packs covers into physical LUTs; covers with more than 5 inputs
 /// occupy a full LUT, smaller covers are paired when their combined
 /// input set fits 5 shared pins.
-#[must_use]
-pub fn pack(covers: &[Cover], seed: u64) -> Vec<PackedLut> {
+pub(crate) fn pack(covers: &[Cover], seed: u64) -> Vec<PackedLut> {
     let mut singles: Vec<usize> = Vec::new();
     let mut out: Vec<PackedLut> = Vec::new();
     for (i, c) in covers.iter().enumerate() {
@@ -63,6 +74,7 @@ pub fn pack(covers: &[Cover], seed: u64) -> Vec<PackedLut> {
             singles.push(i);
         }
     }
+    let sigs: Vec<u64> = covers.iter().map(|c| signature(&c.leaves)).collect();
     // Greedy best-fit pairing over the not-yet-packed small covers:
     // prefer the partner with the most shared input pins (smallest
     // union), as real slice packers do to save routing. This also
@@ -76,22 +88,16 @@ pub fn pack(covers: &[Cover], seed: u64) -> Vec<PackedLut> {
         }
         used[i] = true;
         let ci = &covers[i];
-        let union_of = |a: &Cover, b: &Cover| -> Vec<NodeId> {
-            let mut union: Vec<NodeId> = a.leaves.clone();
-            for &l in &b.leaves {
-                if !union.contains(&l) {
-                    union.push(l);
-                }
-            }
-            union
-        };
         let mut partner: Option<usize> = None;
         let mut best_union = usize::MAX;
         for &j in &singles[idx + 1..] {
-            if used[j] {
+            // A partner needs a union of at most 5 pins that is
+            // strictly smaller than the best so far; the signature
+            // bound rejects most candidates without counting.
+            if used[j] || (sigs[i] | sigs[j]).count_ones() as usize >= best_union.min(6) {
                 continue;
             }
-            let u = union_of(ci, &covers[j]).len();
+            let u = union_len(&ci.leaves, &covers[j].leaves);
             if u <= 5 && u < best_union {
                 best_union = u;
                 partner = Some(j);
@@ -105,11 +111,7 @@ pub fn pack(covers: &[Cover], seed: u64) -> Vec<PackedLut> {
                 used[j] = true;
                 let cj = &covers[j];
                 let mut union: Vec<NodeId> = ci.leaves.clone();
-                for &l in &cj.leaves {
-                    if !union.contains(&l) {
-                        union.push(l);
-                    }
-                }
+                union.extend(cj.leaves.iter().filter(|l| !ci.leaves.contains(l)));
                 // Deterministic shared-pin order.
                 union.sort_by_key(|l| {
                     splitmix64(seed ^ (u64::from(ci.root.0) << 20) ^ u64::from(l.0))

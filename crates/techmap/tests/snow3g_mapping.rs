@@ -272,3 +272,62 @@ fn automated_protect_pass_defeats_composite_covers() {
     let hw = mapped_keystream(&design, &c, 2);
     assert_eq!(hw, vec![0xABEE9704, 0x7AC31373]);
 }
+
+/// FNV-1a over every field of `covers` and `luts` that placement and
+/// bitstream emission read: each root, each pin in pin order, each
+/// truth table (arity and bits), each INIT and each `O6`/`O5` net.
+fn design_digest(design: &techmap::MappedDesign) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325_u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    eat(design.covers.len() as u64);
+    for c in &design.covers {
+        eat(u64::from(c.root.0));
+        eat(c.leaves.len() as u64);
+        c.leaves.iter().for_each(|l| eat(u64::from(l.0)));
+        eat(u64::from(c.truth.num_vars()));
+        eat(c.truth.bits());
+    }
+    eat(design.luts.len() as u64);
+    for l in &design.luts {
+        eat(l.inputs.len() as u64);
+        l.inputs.iter().for_each(|p| eat(u64::from(p.0)));
+        eat(l.init.init());
+        eat(u64::from(l.o6.0));
+        eat(l.o5.map_or(u64::MAX, |n| u64::from(n.0)));
+    }
+    h
+}
+
+#[test]
+fn mapped_designs_are_pinned() {
+    // The attack depends on the exact covers, pin orders and INITs, so
+    // a change to enumeration order, cut pruning, cover tie-breaks or
+    // pair packing must leave every digest untouched. The `max_cuts`
+    // rows are the settings of `paper-tables ablation`.
+    use techmap::MapObjective::Depth;
+    let depth = MapConfig { objective: Depth, ..MapConfig::default() };
+    let cuts = |max_cuts| MapConfig { max_cuts, ..MapConfig::default() };
+    let cases = [
+        ("unprotected area", false, MapConfig::default(), 0xbf48_9fbf_8a1d_f486, 890, 588),
+        ("unprotected depth", false, depth, 0x39f0_b7ef_7e43_1af9, 897, 592),
+        ("protected area", true, MapConfig::default(), 0x3f66_2cb0_d861_80e7, 1056, 640),
+        ("protected depth", true, depth, 0x3f66_2cb0_d861_80e7, 1056, 640),
+        ("max_cuts 4", false, cuts(4), 0x25d3_1b63_ba77_0a98, 856, 570),
+        ("max_cuts 8", false, cuts(8), 0x93f7_6c52_7df6_b280, 863, 575),
+        ("max_cuts 32", false, cuts(32), 0xffd4_a84d_e12c_38ee, 918, 616),
+    ];
+    let (unprotected, protected) = (circuit(false), circuit(true));
+    for (name, prot, config, digest, covers, luts) in cases {
+        let c = if prot { &protected } else { &unprotected };
+        let design = map(&c.network, &config).expect("mapping succeeds");
+        assert_eq!(
+            (design_digest(&design), design.covers.len(), design.luts.len()),
+            (digest, covers, luts),
+            "{name}"
+        );
+    }
+}
